@@ -29,9 +29,12 @@ from .dynamics import (
     integrate,
     measure_period,
 )
-from .geometry import ChartId, ChartPoint, ModelParams, PhaseState, momentum_lift
-from .invariants import check_identities, evaluate_invariants
-from .poisson import sample_states, verify_df_algebra, verify_so22
+from .geometry import ChartId, ChartPoint, ModelParams, PhaseState, lift_coords
+from .invariants import IDENTITIES, identity_residuals, invariant_coords
+from .poisson import SAMPLE_CHART, sample_coords, verify_df_algebra, verify_so22
+# single-state views kept reachable through this module (bench/tracer.py wraps them)
+from .geometry import momentum_lift  # noqa: F401
+from .invariants import check_identities, evaluate_invariants  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -374,26 +377,17 @@ def identities_report(params: Optional[ModelParams] = None, n_points: int = 1000
     informational rows keep passed = None.
     """
     params = params or ModelParams()
-    worst, tols, ok = {}, {}, {}
-    for st in sample_states(n_points, seed):
-        ph = momentum_lift(st, params)
-        rep = check_identities(evaluate_invariants(ph, params), params)
-        for chk in rep.checks:
-            worst[chk.name] = max(worst.get(chk.name, 0.0), abs(chk.residual))
-            tols[chk.name] = chk.tol
-            if chk.passed is None:
-                ok[chk.name] = None
-            else:
-                ok[chk.name] = bool(ok.get(chk.name, True)) and bool(chk.passed)
+    y = lift_coords(SAMPLE_CHART, sample_coords(n_points, seed), params.radius)
+    residuals, scale = identity_residuals(*invariant_coords(y[:4], y[4:], params), params)
     checks = [
         {
             "identity": name,
             "n_points": n_points,
-            "max_residual": worst[name],
-            "tol": tols[name],
-            "passed": ok[name],
+            "max_residual": float(np.max(r)),
+            "tol": tol,
+            "passed": None if tol is None else bool(np.all(r < tol * scale)),
         }
-        for name in worst
+        for (name, tol), r in zip(IDENTITIES, residuals)
     ]
     return {
         "label": "identities",

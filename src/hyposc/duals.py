@@ -2,21 +2,23 @@
 
 A ``Dual(re, im)`` carries a value and one directional derivative through
 arithmetic and the handful of transcendental functions the observables need.
-Components may themselves be ``Dual`` (nesting gives exact second
-derivatives, which the Jacobi-identity checks use).
+Components may be floats, numpy arrays (one entry per state, so a whole
+batch is differentiated in one pass) or themselves ``Dual`` (nesting gives exact
+second derivatives).
 
 The module-level functions (``sinh``, ``cos``, ...) dispatch on type so the
-same evaluator code runs on plain floats and on duals.
+same evaluator code runs on plain floats (through ``math``), on arrays
+(through numpy) and on duals of either.
 """
 
 import math
 from dataclasses import dataclass
 
-_TWO_PI = 2.0 * math.pi
+import numpy as np
 
 
 def _real(x):
-    """Descend to the underlying float of a (possibly nested) dual."""
+    """Descend to the underlying float or array of a (possibly nested) dual."""
     while isinstance(x, Dual):
         x = x.re
     return x
@@ -26,6 +28,10 @@ def _real(x):
 class Dual:
     re: float
     im: float = 0.0
+
+    # ndarray <op> Dual must defer to the reflected operators below instead
+    # of broadcasting the dual as an object scalar
+    __array_ufunc__ = None
 
     # ---- arithmetic -------------------------------------------------------
 
@@ -66,7 +72,7 @@ class Dual:
 
     def __pow__(self, n):
         if not isinstance(n, int):
-            raise TypeError("dual powers are integer-only; use sqrt() for roots")
+            raise TypeError("dual powers are integer-only")
         if n == 0:
             return Dual(1.0, 0.0 * self.im)
         if n < 0:
@@ -105,60 +111,83 @@ class Dual:
 
 
 def sinh(x):
+    if isinstance(x, float):
+        return math.sinh(x)
     if isinstance(x, Dual):
         return Dual(sinh(x.re), cosh(x.re) * x.im)
+    if isinstance(x, np.ndarray):
+        return np.sinh(x)
     return math.sinh(x)
 
 
 def cosh(x):
+    if isinstance(x, float):
+        return math.cosh(x)
     if isinstance(x, Dual):
         return Dual(cosh(x.re), sinh(x.re) * x.im)
+    if isinstance(x, np.ndarray):
+        return np.cosh(x)
     return math.cosh(x)
 
 
-def tanh(x):
-    if isinstance(x, Dual):
-        c = cosh(x.re)
-        return Dual(tanh(x.re), x.im / (c * c))
-    return math.tanh(x)
-
-
 def sin(x):
+    if isinstance(x, float):
+        return math.sin(x)
     if isinstance(x, Dual):
         return Dual(sin(x.re), cos(x.re) * x.im)
+    if isinstance(x, np.ndarray):
+        return np.sin(x)
     return math.sin(x)
 
 
 def cos(x):
+    if isinstance(x, float):
+        return math.cos(x)
     if isinstance(x, Dual):
         return Dual(cos(x.re), -sin(x.re) * x.im)
+    if isinstance(x, np.ndarray):
+        return np.cos(x)
     return math.cos(x)
 
 
-def tan(x):
-    if isinstance(x, Dual):
-        c = cos(x.re)
-        return Dual(tan(x.re), x.im / (c * c))
-    return math.tan(x)
+# ---- per-row guards -------------------------------------------------------
 
 
-def sqrt(x):
-    if isinstance(x, Dual):
-        s = sqrt(x.re)
-        return Dual(s, x.im / (2.0 * s))
-    return math.sqrt(x)
-
-
-def nonzeroish(x) -> bool:
-    """True unless x is an exactly-zero plain number.
+def nonzeroish(x):
+    """True unless x is an exactly-zero plain number; per row for arrays.
 
     Duals count as nonzero even at value 0 so that seeded directions are
     differentiated through (a branch guarded by this predicate must stay on
     the generic path for the derivative to exist).
     """
-    return isinstance(x, Dual) or x != 0.0
+    return True if isinstance(x, Dual) else x != 0.0
 
 
-def derivative(f, x0: float) -> float:
-    """d f / d x at ``x0`` for a scalar function built on the generic math."""
-    return f(Dual(x0, 1.0)).im
+def any_row(mask) -> bool:
+    """True when a (per-row) predicate holds for at least one row."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def guarded(den, used, message: str):
+    """``den`` checked for use as a denominator in the rows where ``used``.
+
+    Raises ``ValueError(message)`` when a row that uses it has an exactly
+    zero (real part of the) denominator, which is exactly when the
+    single-state call for that row raises.  In an array batch, rows that do
+    not use it and sit at zero get 1 instead, so that their zero terms stay
+    finite.
+    """
+    zero = _real(den) == 0.0
+    if not isinstance(zero, np.ndarray):
+        if used and zero:
+            raise ValueError(message)
+        return den
+    if np.any(zero & used):
+        raise ValueError(message)
+    return _fill(den, zero, 1.0) if zero.any() else den
+
+
+def _fill(x, mask, value):
+    if isinstance(x, Dual):
+        return Dual(_fill(x.re, mask, value), _fill(x.im, mask, 0.0))
+    return np.where(mask, value, x)

@@ -32,13 +32,13 @@ multiple of the radial period (full identity at even multiples).
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .geometry import (
     ChartId,
@@ -56,6 +56,19 @@ from .invariants import (
     evaluate_invariants,
     l_squared,
 )
+
+
+def __getattr__(name):
+    # solve_ivp loads scipy.integrate (most of the package's import time), so
+    # it is imported on first use; `integrate` reaches it through the module
+    # so that a wrapper set with setattr(dynamics, "solve_ivp", ...) is called
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        globals()["solve_ivp"] = solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 CLOSURE_TOL = 1e-6
 CONSTRAINT_ABORT = 1e-8
@@ -496,6 +509,7 @@ def integrate(
     """
     if method not in ("auto", "chart", "ambient"):
         raise ValueError(f"unknown method {method!r}")
+    solve_ivp = sys.modules[__name__].solve_ivp
     R = params.radius
     R2 = R * R
     band = cfg.boundary_band if cfg.boundary_band is not None else 1e-6 * R

@@ -39,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .duals import _real, cos, cosh, nonzeroish, sin, sinh
+from .duals import _real, any_row, cos, cosh, guarded, nonzeroish, sin, sinh
 
 TWO_PI = 2.0 * math.pi
 
@@ -150,24 +150,39 @@ class EmbeddingPhase:
 # ---------------------------------------------------------------------------
 
 
-def embed(point: ChartPoint, params: ModelParams) -> EmbeddingPoint:
-    """Chart coordinates -> ambient coordinates."""
-    R = params.radius
-    s = point.chart.sheet_sign
-    c, d = cosh(point.q2), sinh(point.q2)  # cosh/sinh of tau or mu
+def _trig(outer: bool, q1, q2, phi):
+    """(a, b, cosh q2, sinh q2, cos phi, sin phi) with a, b = cosh, sinh of r
+    on outer charts and cos, sin of chi on inner ones."""
+    if outer:
+        a, b = cosh(q1), sinh(q1)
+    else:
+        a, b = cos(q1), sin(q1)
+    return a, b, cosh(q2), sinh(q2), cos(phi), sin(phi)
+
+
+def _embed(outer: bool, s, R, a, b, c, d, cp, sp):
     # outer: z1 carries sinh tau, the transverse radius cosh tau; inner swaps
-    if point.chart.is_outer:
-        a, b = cosh(point.q1), sinh(point.q1)
+    if outer:
         z1, rho = R * b * d, R * b * c
     else:
-        a, b = cos(point.q1), sin(point.q1)
         z1, rho = R * b * c, R * b * d
-    return EmbeddingPoint(
-        s * R * a,
-        z1,
-        rho * cos(point.phi),
-        rho * sin(point.phi),
-    )
+    return (s * R * a, z1, rho * cp, rho * sp)
+
+
+def embed_coords(chart: ChartId, coords, radius: float) -> tuple:
+    """Chart coordinates (q1, q2, phi, ...) -> (z0, z1, z2, z3).
+
+    Each coordinate may be a float, an (N,) array with one entry per state,
+    or a dual of either; the result has the same form.
+    """
+    outer = chart.is_outer
+    return _embed(outer, chart.sheet_sign, radius, *_trig(outer, *coords[:3]))
+
+
+def embed(point: ChartPoint, params: ModelParams) -> EmbeddingPoint:
+    """Chart coordinates -> ambient coordinates."""
+    return EmbeddingPoint(*embed_coords(point.chart, (point.q1, point.q2, point.phi),
+                                        params.radius))
 
 
 def constraint_residual(z: EmbeddingPoint, params: ModelParams) -> float:
@@ -271,54 +286,63 @@ def chart_transition(point: ChartPoint, params: ModelParams) -> ChartPoint:
 # ---------------------------------------------------------------------------
 
 
-def momentum_lift(state: PhaseState, params: ModelParams) -> EmbeddingPhase:
-    """Chart momenta -> ambient covariant momenta, p = G J g^{-1} p_q.
+def lift_coords(chart: ChartId, coords, radius: float) -> tuple:
+    """Chart phase coordinates -> ambient (z0, z1, z2, z3, p0, p1, p2, p3).
 
-    Closed forms are used on both chart families (the inner ones derived by
-    the same Jacobian construction).  Raises when angular momenta meet a
-    vanishing denominator (chart pole, or mu = 0 with p_phi != 0 on the
-    inner chart).
+    ``coords`` = (q1, q2, phi, p1, p2, pphi), each a float, an (N,) array
+    with one entry per state, or a dual of either.  The covariant momenta
+    are p = G J g^{-1} p_q in closed form on both chart families (the inner
+    ones derived by the same Jacobian construction).  Raises when angular
+    momenta meet a vanishing denominator (chart pole, or mu = 0 with
+    p_phi != 0 on the inner chart) in any row.
     """
-    pt = state.point
-    R = params.radius
-    s = pt.chart.sheet_sign
-    p1, p2, pphi = state.p1, state.p2, state.pphi
-    cp, sp = cos(pt.phi), sin(pt.phi)
-    has_p2 = nonzeroish(p2)
+    q1, q2, phi, p1, p2, pphi = coords
+    outer = chart.is_outer
+    s = chart.sheet_sign
+    trig = _trig(outer, q1, q2, phi)
+    a, b, c, d, cp, sp = trig
     has_pphi = nonzeroish(pphi)
+    has_ang = nonzeroish(p2) | has_pphi
 
-    if pt.chart.is_outer:
-        sh, ch = sinh(pt.q1), cosh(pt.q1)
-        sht, cht = sinh(pt.q2), cosh(pt.q2)
+    if outer:
+        sh, ch, sht, cht = b, a, d, c
         a0 = -s * sh * p1
         a1 = -ch * sht * p1
         a2 = ch * cht * cp * p1
         a3 = ch * cht * sp * p1
-        if has_p2 or has_pphi:
-            if _real(sh) == 0.0:
-                raise ValueError("angular momenta at r = 0")
+        if any_row(has_ang):
+            sh = guarded(sh, has_ang, "angular momenta at r = 0")
             a1 = a1 + cht * p2 / sh
             a2 = a2 - sht * cp * p2 / sh - sp * pphi / (sh * cht)
             a3 = a3 - sht * sp * p2 / sh + cp * pphi / (sh * cht)
     else:
-        sn, cn = sin(pt.q1), cos(pt.q1)
-        shm, chm = sinh(pt.q2), cosh(pt.q2)
+        sn, cn, shm, chm = b, a, d, c
         a0 = -s * sn * p1
         a1 = cn * chm * p1
         a2 = -cn * shm * cp * p1
         a3 = -cn * shm * sp * p1
-        if has_p2 or has_pphi:
-            if _real(sn) == 0.0:
-                raise ValueError("angular momenta at chi = 0")
+        if any_row(has_ang):
+            sn = guarded(sn, has_ang, "angular momenta at chi = 0")
             a1 = a1 - shm * p2 / sn
             a2 = a2 + chm * cp * p2 / sn
             a3 = a3 + chm * sp * p2 / sn
-            if has_pphi:
-                if _real(shm) == 0.0:
-                    raise ValueError("azimuthal momentum on the mu = 0 axis")
+            if any_row(has_pphi):
+                shm = guarded(shm, has_pphi, "azimuthal momentum on the mu = 0 axis")
                 a2 = a2 - sp * pphi / (sn * shm)
                 a3 = a3 + cp * pphi / (sn * shm)
-    return EmbeddingPhase(embed(pt, params), a0 / R, a1 / R, a2 / R, a3 / R)
+    R = radius
+    return _embed(outer, s, R, *trig) + (a0 / R, a1 / R, a2 / R, a3 / R)
+
+
+def momentum_lift(state: PhaseState, params: ModelParams) -> EmbeddingPhase:
+    """Chart momenta -> ambient covariant momenta, p = G J g^{-1} p_q.
+
+    The single-state view of `lift_coords`.
+    """
+    pt = state.point
+    z0, z1, z2, z3, p0, p1, p2, p3 = lift_coords(
+        pt.chart, (pt.q1, pt.q2, pt.phi, state.p1, state.p2, state.pphi), params.radius)
+    return EmbeddingPhase(EmbeddingPoint(z0, z1, z2, z3), p0, p1, p2, p3)
 
 
 def tangency_residual(ph: EmbeddingPhase) -> float:

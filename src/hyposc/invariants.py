@@ -22,11 +22,12 @@ and the weighted contraction sum_i gbar_ii L_i D_ik = 0 are checked here.
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
 
-from .duals import _real, cos, cosh, nonzeroish, sin, sinh
+from .duals import _real, cos, cosh, guarded, nonzeroish, sin, sinh
 from .geometry import (
     EmbeddingPhase,
     ModelParams,
@@ -65,17 +66,31 @@ class GeneratorSet:
         return (self.l1, self.l2, self.l3)
 
 
+def _zp(ph: EmbeddingPhase):
+    z = ph.z
+    return (z.z0, z.z1, z.z2, z.z3), (ph.p0, ph.p1, ph.p2, ph.p3)
+
+
+def ambient_generators(z, p) -> tuple:
+    """(n1, n2, n3, l1, l2, l3) from ambient z = (z0..z3) and p = (p0..p3).
+
+    Components may be floats, (N,) arrays with one entry per state, or duals.
+    """
+    z0, z1, z2, z3 = z
+    p0, p1, p2, p3 = p
+    return (
+        z0 * p1 - z1 * p0,
+        -(z0 * p2 + z2 * p0),
+        -(z0 * p3 + z3 * p0),
+        -(z2 * p3 - z3 * p2),
+        -(z1 * p3 + z3 * p1),
+        z1 * p2 + z2 * p1,
+    )
+
+
 def generators_ambient(ph: EmbeddingPhase) -> GeneratorSet:
     """The six so(2,2) bilinears from ambient phase-space data."""
-    z, p = ph.z, ph
-    return GeneratorSet(
-        n1=z.z0 * p.p1 - z.z1 * p.p0,
-        n2=-(z.z0 * p.p2 + z.z2 * p.p0),
-        n3=-(z.z0 * p.p3 + z.z3 * p.p0),
-        l1=-(z.z2 * p.p3 - z.z3 * p.p2),
-        l2=-(z.z1 * p.p3 + z.z3 * p.p1),
-        l3=z.z1 * p.p2 + z.z2 * p.p1,
-    )
+    return GeneratorSet(*ambient_generators(*_zp(ph)))
 
 
 def generators(state: PhaseState, params: ModelParams) -> GeneratorSet:
@@ -146,28 +161,32 @@ class DemkovFradkinTensor:
         return self.d[ik]
 
 
-def df_component(ph: EmbeddingPhase, i: int, k: int, params: ModelParams) -> float:
-    """Single component D_ik (1-based spatial indices), dual-friendly."""
-    gens = generators_ambient(ph)
-    n = (gens.n1, gens.n2, gens.n3)
-    zs = (ph.z.z1, ph.z.z2, ph.z.z3)
+_DF_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def df_components(z, n, params: ModelParams) -> tuple:
+    """(D11, D12, D13, D22, D23, D33), D_ik = N_i N_k / R^2 + omega^2 R^2 z_i z_k / z0^2.
+
+    ``z`` = (z0..z3) and ``n`` = (n1, n2, n3), per state like `ambient_generators`.
+    """
+    z0 = guarded(z[0], True, "Demkov-Fradkin tensor undefined at z0 = 0")
     R2 = params.radius**2
     w = params.omega**2 * R2
-    return n[i - 1] * n[k - 1] / R2 + w * zs[i - 1] * zs[k - 1] / (ph.z.z0 ** 2)
+    zs = z[1:]
+    z0_sq = z0**2
+    return tuple(n[i] * n[k] / R2 + w * (zs[i] * zs[k]) / z0_sq for i, k in _DF_PAIRS)
+
+
+def _tensor(d) -> DemkovFradkinTensor:
+    d11, d12, d13, d22, d23, d33 = d
+    return DemkovFradkinTensor(
+        np.array([[d11, d12, d13], [d12, d22, d23], [d13, d23, d33]], dtype=float))
 
 
 def demkov_fradkin(ph: EmbeddingPhase, params: ModelParams) -> DemkovFradkinTensor:
     """Full tensor D_ik = N_i N_k / R^2 + omega^2 R^2 z_i z_k / z0^2."""
-    if ph.z.z0 == 0.0:
-        raise ValueError("Demkov-Fradkin tensor undefined at z0 = 0")
-    gens = generators_ambient(ph)
-    n = np.array(gens.n, dtype=float)
-    zs = np.array([ph.z.z1, ph.z.z2, ph.z.z3], dtype=float)
-    R2 = params.radius**2
-    w = params.omega**2 * R2
-    d = np.outer(n, n) / R2 + w * np.outer(zs, zs) / ph.z.z0**2
-    d = 0.5 * (d + d.T)  # exact symmetry against rounding asymmetry
-    return DemkovFradkinTensor(d)
+    z, p = _zp(ph)
+    return _tensor(df_components(z, ambient_generators(z, p)[:3], params))
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +194,39 @@ def demkov_fradkin(ph: EmbeddingPhase, params: ModelParams) -> DemkovFradkinTens
 # ---------------------------------------------------------------------------
 
 
+def _free_hamiltonian(p):
+    p0, p1, p2, p3 = p
+    return 0.5 * (-p0**2 - p1**2 + p2**2 + p3**2)
+
+
+def _potential(z, params: ModelParams):
+    z0, z1, z2, z3 = z
+    z0 = guarded(z0, True, "potential undefined at z0 = 0")
+    w = 0.5 * params.omega**2 * params.radius**2
+    return w * (z2**2 + z3**2 - z1**2) / z0**2
+
+
 def free_hamiltonian_ambient(ph: EmbeddingPhase) -> float:
     """H_free = (1/2) G^{-1}(p, p) with G = diag(-1,-1,1,1)."""
-    return 0.5 * (-ph.p0**2 - ph.p1**2 + ph.p2**2 + ph.p3**2)
+    return _free_hamiltonian(_zp(ph)[1])
 
 
 def potential_ambient(ph_or_z, params: ModelParams) -> float:
     """V = (omega^2 R^2 / 2)(z2^2 + z3^2 - z1^2) / z0^2."""
     z = ph_or_z.z if isinstance(ph_or_z, EmbeddingPhase) else ph_or_z
-    if z.z0 == 0.0:
-        raise ValueError("potential undefined at z0 = 0")
-    w = 0.5 * params.omega**2 * params.radius**2
-    return w * (z.z2**2 + z.z3**2 - z.z1**2) / z.z0**2
+    return _potential((z.z0, z.z1, z.z2, z.z3), params)
 
 
 def oscillator_hamiltonian_ambient(ph: EmbeddingPhase, params: ModelParams) -> float:
     return free_hamiltonian_ambient(ph) + potential_ambient(ph, params)
+
+
+def invariant_coords(z, p, params: ModelParams, mode: str = "oscillator") -> tuple:
+    """(H, H_free, GeneratorSet, D components) from ambient z and p, per state."""
+    gens = GeneratorSet(*ambient_generators(z, p))
+    h_free = _free_hamiltonian(p)
+    h = h_free if mode == "free" else h_free + _potential(z, params)
+    return h, h_free, gens, df_components(z, gens.n, params)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +249,7 @@ def evaluate_invariants(
     ph: EmbeddingPhase, params: ModelParams, mode: str = "oscillator"
 ) -> InvariantSet:
     """All conserved quantities at one ambient phase point."""
-    gens = generators_ambient(ph)
-    h_free = free_hamiltonian_ambient(ph)
-    h = h_free if mode == "free" else oscillator_hamiltonian_ambient(ph, params)
+    h, h_free, gens, d = invariant_coords(*_zp(ph), params, mode)
     return InvariantSet(
         hamiltonian=h,
         free_hamiltonian=h_free,
@@ -223,7 +257,7 @@ def evaluate_invariants(
         l_squared=gens.l_squared(),
         casimir1=gens.casimir1(),
         casimir2=gens.casimir2(),
-        df=demkov_fradkin(ph, params),
+        df=_tensor(d),
     )
 
 
@@ -265,40 +299,50 @@ class IdentityReport:
         return "\n".join(lines)
 
 
-def check_identities(inv: InvariantSet, params: ModelParams) -> IdentityReport:
-    """Residuals of the algebraic identities at one phase point.
+# (name, tolerance relative to the state's scale); None = recorded only.
+# The unweighted L.D contraction does not vanish (only the gbar-weighted one
+# does); its residual is recorded for reference without a pass flag.
+IDENTITIES = (
+    ("C1 = 0", 1e-10),
+    ("C2 + 2 R^2 H_free = 0", 1e-9),
+    ("H = (-D11 + D22 + D33)/2 - L^2/(2 R^2)", 1e-9),
+    ("sum_i gbar_ii L_i D_ik = 0", 1e-9),
+    ("sum_i L_i D_ik (unweighted, recorded)", None),
+)
 
-    The unweighted L.D contraction does not vanish (only the gbar-weighted
-    one does); its residual is recorded for reference without a pass flag.
+
+def identity_residuals(h, h_free, gens: GeneratorSet, d, params: ModelParams):
+    """Residual of each of IDENTITIES, and the scale its tolerance multiplies.
+
+    Arguments as returned by `invariant_coords`: a GeneratorSet holding
+    arrays gives residual arrays, one entry per state.
     """
     R2 = params.radius**2
-    g = inv.generators
-    d = inv.df.d
-    lvec = np.array(g.l, dtype=float)
-    gbar = np.array(GBAR)
-
-    c1 = abs(inv.casimir1)
-    c2 = abs(inv.casimir2 + 2.0 * R2 * inv.free_hamiltonian)
+    d11, d12, d13, d22, d23, d33 = d
+    l1, l2, l3 = gens.l
+    g1, g2, g3 = (g * x for g, x in zip(GBAR, gens.l))
+    columns = ((d11, d12, d13), (d12, d22, d23), (d13, d23, d33))  # D[:, k]
     # trace coefficients 1/2 and -1/2: fixed by least squares over random
     # states during development (fit residual < 1e-12), hard-coded here
-    trace = 0.5 * (-d[0, 0] + d[1, 1] + d[2, 2]) - 0.5 * inv.l_squared / R2
-    c3 = abs(trace - inv.hamiltonian)
-    weighted = np.max(np.abs((gbar * lvec) @ d))
-    plain = np.max(np.abs(lvec @ d))
-
-    scale = max(1.0, float(np.max(np.abs(d))), abs(inv.hamiltonian))
-    checks = (
-        IdentityCheck("C1 = 0", c1, 1e-10, c1 < 1e-10 * scale),
-        IdentityCheck("C2 + 2 R^2 H_free = 0", c2, 1e-9, c2 < 1e-9 * scale),
-        IdentityCheck(
-            "H = (-D11 + D22 + D33)/2 - L^2/(2 R^2)", c3, 1e-9, c3 < 1e-9 * scale
-        ),
-        IdentityCheck(
-            "sum_i gbar_ii L_i D_ik = 0", float(weighted), 1e-9,
-            bool(weighted < 1e-9 * scale),
-        ),
-        IdentityCheck(
-            "sum_i L_i D_ik (unweighted, recorded)", float(plain), None, None
-        ),
+    trace = 0.5 * (-d11 + d22 + d33) - 0.5 * gens.l_squared() / R2
+    residuals = (
+        abs(gens.casimir1()),
+        abs(gens.casimir2() + 2.0 * R2 * h_free),
+        abs(trace - h),
+        reduce(np.maximum, [abs(g1 * a + g2 * b + g3 * c) for a, b, c in columns]),
+        reduce(np.maximum, [abs(l1 * a + l2 * b + l3 * c) for a, b, c in columns]),
     )
-    return IdentityReport(checks)
+    scale = reduce(np.maximum, [abs(x) for x in d] + [abs(h)], 1.0)
+    return residuals, scale
+
+
+def check_identities(inv: InvariantSet, params: ModelParams) -> IdentityReport:
+    """Residuals of the algebraic identities at one phase point."""
+    d = inv.df.d
+    residuals, scale = identity_residuals(
+        inv.hamiltonian, inv.free_hamiltonian, inv.generators,
+        (d[0, 0], d[0, 1], d[0, 2], d[1, 1], d[1, 2], d[2, 2]), params)
+    return IdentityReport(tuple(
+        IdentityCheck(name, float(r), tol, None if tol is None else bool(r < tol * scale))
+        for (name, tol), r in zip(IDENTITIES, residuals)
+    ))

@@ -32,7 +32,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .geometry import ChartId, ChartPoint, ModelParams, PhaseState
 from .dynamics import IntegrationConfig, atomic_write_text, integrate
@@ -355,6 +354,8 @@ def time_of_flight(
 
     def integrand(th):
         return 1.0 / (1.0 - x1 - span * math.sin(th) ** 2)
+
+    from scipy.integrate import quad  # imported here: the rest of hyposc runs without it
 
     val, _ = quad(integrand, tha, thb, epsabs=1e-12, epsrel=1e-12, limit=200)
     return val / params.omega

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,7 +25,10 @@ import numpy as np
 
 from .duals import Dual
 from .dynamics import atomic_write_text
-from .geometry import ChartId, ChartPoint, ModelParams, PhaseState, momentum_lift
+from .geometry import TWO_PI, ChartId, ChartPoint, ModelParams, PhaseState, lift_coords
+# the single-state view, kept reachable here (bench/tracer.py wraps it)
+from .geometry import momentum_lift  # noqa: F401
+from .invariants import invariant_coords
 
 COORD_NAMES = ("q1", "q2", "phi", "p1", "p2", "pphi")
 # Step factor for the 4th-order stencil, h = FD_STEP * max(1, |x|).  The
@@ -35,6 +37,8 @@ COORD_NAMES = ("q1", "q2", "phi", "p1", "p2", "pphi")
 # sampled range, which drags the optimum down.  2e-4 was tuned against the
 # exact dual backend (worst cross-backend gap ~6e-8 over seeds and params).
 FD_STEP = 2e-4
+# (offset in units of h, weight over 12 h) of the 4th-order central stencil
+FD_STENCIL = ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, -1.0))
 
 DEFAULT_TOL = 1e-6
 BACKEND_TOL = 1e-7
@@ -74,46 +78,28 @@ def _state_from(chart: ChartId, coords) -> PhaseState:
     )
 
 
-def _library_values(state: PhaseState, params: ModelParams) -> dict:
-    """Every library observable from a single ambient lift (dual-safe)."""
-    ph = momentum_lift(state, params)
-    z0, z1, z2, z3 = ph.z.z0, ph.z.z1, ph.z.z2, ph.z.z3
-    p0, p1, p2, p3 = ph.p0, ph.p1, ph.p2, ph.p3
-    R2 = params.radius**2
-    w2 = params.omega**2
+def _library_values(chart: ChartId, coords, params: ModelParams) -> dict:
+    """Every library observable from a single ambient lift.
 
-    l1 = -(z2 * p3 - z3 * p2)
-    l2 = -(z1 * p3 + z3 * p1)
-    l3 = z1 * p2 + z2 * p1
-    n1 = z0 * p1 - z1 * p0
-    n2 = -(z0 * p2 + z2 * p0)
-    n3 = -(z0 * p3 + z3 * p0)
-
-    ns = (n1, n2, n3)
-    zs = (z1, z2, z3)
-    radial = w2 * R2 / (z0 * z0)
-    d = {}
-    for i in range(3):
-        for k in range(i, 3):
-            d[f"D{i + 1}{k + 1}"] = ns[i] * ns[k] / R2 + radial * zs[i] * zs[k]
-
-    h_free = 0.5 * (-p0 * p0 - p1 * p1 + p2 * p2 + p3 * p3)
-    v = 0.5 * radial * (z2 * z2 + z3 * z3 - z1 * z1)
-
+    ``coords`` = (q1, q2, phi, p1, p2, pphi), floats or (N,) arrays with one
+    entry per state, any of them possibly dual.
+    """
+    y = lift_coords(chart, coords, params.radius)
+    h_osc, h_free, g, d = invariant_coords(y[:4], y[4:], params)
     out = {
-        "L1": l1, "L2": l2, "L3": l3,
-        "N1": n1, "N2": n2, "N3": n3,
-        "Lt1": -l1, "Lt2": l2, "Lt3": -l3,
-        "H_free": h_free, "H_osc": h_free + v,
-        "L_sq": l1 * l1 - l2 * l2 - l3 * l3,
+        "L1": g.l1, "L2": g.l2, "L3": g.l3,
+        "N1": g.n1, "N2": g.n2, "N3": g.n3,
+        "Lt1": -g.l1, "Lt2": g.l2, "Lt3": -g.l3,
+        "H_free": h_free, "H_osc": h_osc,
+        "L_sq": g.l_squared(),
     }
-    out.update(d)
+    out.update(zip(("D11", "D12", "D13", "D22", "D23", "D33"), d))
     return out
 
 
 def _library_observable(name: str) -> Observable:
     def evaluator(state, params, _name=name):
-        return _library_values(state, params)[_name]
+        return _library_values(state.point.chart, _scalars(state), params)[_name]
 
     return Observable(name, evaluator)
 
@@ -149,47 +135,38 @@ P1, P2, PPHI = LIBRARY["p1"], LIBRARY["p2"], LIBRARY["pphi"]
 # derivative backends
 
 
-def _dual_gradient(obs: Observable, state: PhaseState, params: ModelParams):
-    coords = [float(c) for c in _scalars(state)]
-    chart = state.point.chart
-    grad = np.empty(6)
-    for i in range(6):
+def _gradient_table(values, coords, backend: str) -> dict:
+    """d/d(q1, q2, phi, p1, p2, pphi) of every entry of ``values(coords)``.
+
+    ``coords`` holds floats for one state or (N,) arrays for a batch of N
+    states; each table entry then has shape (6,) or (6, N).
+    The dual backend makes one pass per coordinate, the finite-difference
+    backend one per coordinate and stencil point.  A single state is the
+    N = 1 case of the sweeps, carried as floats.
+    """
+    if backend not in ("dual", "fd"):
+        raise ValueError(f"unknown backend {backend!r} (use 'auto', 'dual' or 'fd')")
+    table = defaultdict(lambda: np.zeros((6,) + np.shape(coords[0])))
+    for i, x in enumerate(coords):
         seeded = list(coords)
-        seeded[i] = Dual(coords[i], 1.0)
-        val = obs.evaluator(_state_from(chart, seeded), params)
-        grad[i] = val.im if isinstance(val, Dual) else 0.0
-    return grad
+        if backend == "dual":
+            seeded[i] = Dual(x, 1.0)
+            for name, v in values(seeded).items():
+                table[name][i] = v.im if isinstance(v, Dual) else 0.0
+            continue
+        h = FD_STEP * np.maximum(1.0, np.abs(x))
+        sums = defaultdict(float)
+        for k, weight in FD_STENCIL:
+            seeded[i] = x + k * h
+            for name, v in values(seeded).items():
+                sums[name] = sums[name] + weight * v
+        for name, total in sums.items():
+            table[name][i] = total / (12.0 * h)
+    return table
 
 
-def _fd_gradient(obs: Observable, state: PhaseState, params: ModelParams):
-    coords = [float(c) for c in _scalars(state)]
-    chart = state.point.chart
-    grad = np.empty(6)
-    for i in range(6):
-        h = FD_STEP * max(1.0, abs(coords[i]))
-        stencil = []
-        for k in (-2.0, -1.0, 1.0, 2.0):
-            seeded = list(coords)
-            seeded[i] = coords[i] + k * h
-            stencil.append(float(obs.evaluator(_state_from(chart, seeded), params)))
-        grad[i] = (stencil[0] - 8.0 * stencil[1] + 8.0 * stencil[2] - stencil[3]) / (12.0 * h)
-    return grad
-
-
-def _gradient(obs: Observable, state, params, backend: str):
-    if backend == "auto":
-        backend = "dual" if obs.supports_duals else "fd"
-    if backend == "dual":
-        if not obs.supports_duals:
-            raise ValueError(f"observable {obs.name!r} does not support the dual backend")
-        return _dual_gradient(obs, state, params)
-    if backend == "fd":
-        return _fd_gradient(obs, state, params)
-    raise ValueError(f"unknown backend {backend!r} (use 'auto', 'dual' or 'fd')")
-
-
-def _symplectic_pair(gf, gg) -> float:
-    return float(
+def _symplectic_pair(gf, gg):
+    return (
         gf[0] * gg[3] - gg[0] * gf[3]
         + gf[1] * gg[4] - gg[1] * gf[4]
         + gf[2] * gg[5] - gg[2] * gf[5]
@@ -199,9 +176,21 @@ def _symplectic_pair(gf, gg) -> float:
 def bracket(f: Observable, g: Observable, state: PhaseState, params: ModelParams,
             backend: str = "auto") -> float:
     """Canonical bracket {f, g} at one state."""
-    gf = _gradient(f, state, params, backend)
-    gg = _gradient(g, state, params, backend)
-    val = _symplectic_pair(gf, gg)
+    chart = state.point.chart
+    coords = [float(c) for c in _scalars(state)]
+    grads = []
+    for obs in (f, g):
+        chosen = backend
+        if backend == "auto":
+            chosen = "dual" if obs.supports_duals else "fd"
+        elif backend == "dual" and not obs.supports_duals:
+            raise ValueError(f"observable {obs.name!r} does not support the dual backend")
+
+        def values(c, _obs=obs):
+            return {_obs.name: _obs.evaluator(_state_from(chart, c), params)}
+
+        grads.append(_gradient_table(values, coords, chosen)[obs.name])
+    val = float(_symplectic_pair(*grads))
     if not math.isfinite(val):
         raise ValueError(
             f"non-finite derivative in {{{f.name}, {g.name}}} (singular observable at state)"
@@ -227,65 +216,34 @@ def jacobi_residual(f: Observable, g: Observable, h: Observable,
 
 
 # --------------------------------------------------------------------------
-# gradient table (shared ambient lift per seed: one pass gives every library
-# observable, so a sweep costs 6 dual evaluations per state, not 6 per pair)
-
-
-def _gradient_table(state: PhaseState, params: ModelParams, backend: str) -> dict:
-    coords = [float(c) for c in _scalars(state)]
-    chart = state.point.chart
-    table = {n: np.empty(6) for n in _LIBRARY_KEYS}
-    if backend == "dual":
-        for i in range(6):
-            seeded = list(coords)
-            seeded[i] = Dual(coords[i], 1.0)
-            vals = _library_values(_state_from(chart, seeded), params)
-            for n in _LIBRARY_KEYS:
-                v = vals[n]
-                table[n][i] = v.im if isinstance(v, Dual) else 0.0
-    elif backend == "fd":
-        for i in range(6):
-            h = FD_STEP * max(1.0, abs(coords[i]))
-            stencil = []
-            for k in (-2.0, -1.0, 1.0, 2.0):
-                seeded = list(coords)
-                seeded[i] = coords[i] + k * h
-                stencil.append(_library_values(_state_from(chart, seeded), params))
-            for n in _LIBRARY_KEYS:
-                table[n][i] = (
-                    stencil[0][n] - 8.0 * stencil[1][n] + 8.0 * stencil[2][n] - stencil[3][n]
-                ) / (12.0 * h)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return table
-
-
-def _table_bracket(table: dict, a: str, b: str) -> float:
-    return _symplectic_pair(table[a], table[b])
-
-
-# --------------------------------------------------------------------------
 # sampling
 
 
-def sample_states(n_points: int, seed: int = 42) -> list:
-    """Reproducible outer-chart states bounded away from chart singularities.
+SAMPLE_CHART = ChartId.OUTER_PLUS
 
-    r in [0.3, 2.0], tau in [-1.5, 1.5], phi in [0, 2pi), momenta in [-2, 2].
+
+def sample_coords(n_points: int, seed: int = 42) -> np.ndarray:
+    """(6, n_points) coordinates of `sample_states`, one state per column.
+
+    Outer-chart states bounded away from chart singularities: r in
+    [0.3, 2.0], tau in [-1.5, 1.5], phi in [0, 2pi) (reduced as ChartPoint
+    reduces it), momenta in [-2, 2].
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     rng = np.random.default_rng(seed)
     r = rng.uniform(0.3, 2.0, n_points)
     tau = rng.uniform(-1.5, 1.5, n_points)
-    phi = rng.uniform(0.0, 2.0 * math.pi, n_points)
+    phi = rng.uniform(0.0, 2.0 * math.pi, n_points) % TWO_PI
     mom = rng.uniform(-2.0, 2.0, (n_points, 3))
+    return np.vstack([r, tau, phi, mom.T])
+
+
+def sample_states(n_points: int, seed: int = 42) -> list:
+    """Reproducible outer-chart states, the columns of `sample_coords`."""
     return [
-        PhaseState(
-            ChartPoint(ChartId.OUTER_PLUS, r[i], tau[i], phi[i]),
-            mom[i, 0], mom[i, 1], mom[i, 2],
-        )
-        for i in range(n_points)
+        PhaseState(ChartPoint(SAMPLE_CHART, q1, q2, phi), p1, p2, pphi)
+        for q1, q2, phi, p1, p2, pphi in sample_coords(n_points, seed).T
     ]
 
 
@@ -363,43 +321,30 @@ class BracketReport:
         return "\n".join(lines)
 
 
-def _worker_count() -> int:
-    try:
-        n = int(os.environ.get("HYPOSC_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def _sweep(states, params, relations, backends):
+def _sweep(coords, params, relations, backends):
     """Max residual (first backend) and max cross-backend gap per relation.
 
+    coords: (6, N) outer-chart coordinates, one state per column.
     relations: sequence of (a_name, b_name, rhs_fn) with rhs_fn(values,
-    params) the expected bracket value.  Both maxima are order-independent,
-    so chunked evaluation aggregates deterministically.
+    params) the expected bracket value, per state.  The gap of a state is
+    |{a, b}_first - {a, b}_second| / max(1, |grad a| |grad b|): the bracket
+    pairs the two gradients, so its finite-difference error scales with the
+    product of their sizes.
     """
 
-    def stats(chunk):
-        res = np.zeros(len(relations))
-        gap = np.zeros(len(relations))
-        for st in chunk:
-            values = {k: float(v) for k, v in _library_values(st, params).items()}
-            tables = [_gradient_table(st, params, b) for b in backends]
-            for j, (a, b, rhs_fn) in enumerate(relations):
-                lhs = [_table_bracket(t, a, b) for t in tables]
-                res[j] = max(res[j], abs(lhs[0] - rhs_fn(values, params)))
-                if len(lhs) > 1:
-                    gap[j] = max(gap[j], abs(lhs[0] - lhs[1]))
-        return res, gap
+    def values(c):
+        return _library_values(SAMPLE_CHART, c, params)
 
-    workers = _worker_count()
-    if workers == 1 or len(states) < 2 * workers:
-        return stats(states)
-    chunks = [states[i::workers] for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(stats, chunks))
-    res = np.max([p[0] for p in parts], axis=0)
-    gap = np.max([p[1] for p in parts], axis=0)
+    vals = values(coords)
+    tables = [_gradient_table(values, coords, b) for b in backends]
+    res = np.zeros(len(relations))
+    gap = np.zeros(len(relations))
+    for j, (a, b, rhs_fn) in enumerate(relations):
+        lhs = [_symplectic_pair(t[a], t[b]) for t in tables]
+        res[j] = np.max(np.abs(lhs[0] - rhs_fn(vals, params)))
+        if len(lhs) > 1:
+            size = np.linalg.norm(tables[0][a], axis=0) * np.linalg.norm(tables[0][b], axis=0)
+            gap[j] = np.max(np.abs(lhs[0] - lhs[1]) / np.maximum(1.0, size))
     return res, gap
 
 
@@ -441,7 +386,7 @@ def verify_so22(params: Optional[ModelParams] = None, n_points: int = 1000,
                 backend: str = "dual") -> BracketReport:
     """Check the 15 independent generator brackets at random states."""
     params = params or ModelParams()
-    states = sample_states(n_points, seed)
+    coords = sample_coords(n_points, seed)
 
     relations = []
     for a, b, coeff, target in _SO22_TABLE:
@@ -450,7 +395,7 @@ def verify_so22(params: Optional[ModelParams] = None, n_points: int = 1000,
         else:
             relations.append((a, b, lambda v, p, c=coeff, t=target: c * v[t]))
 
-    res, _ = _sweep(states, params, relations, (backend,))
+    res, _ = _sweep(coords, params, relations, (backend,))
     checks = tuple(
         BracketCheck(
             lhs=f"{{{a}, {b}}}",
@@ -569,11 +514,12 @@ def verify_df_algebra(params: Optional[ModelParams] = None, n_points: int = 64,
     Every relation is evaluated with both derivative backends; a relation
     passes when the dual-backend residual is below ``tol`` (``fitted_tol``
     for the fitted coefficient rows) and the backends agree to
-    ``backend_tol``.  The three flagged rows record how far the rejected
+    ``backend_tol`` relative to max(1, |grad a| |grad b|) at every state
+    (``backend_gap`` reports that relative gap).  The three flagged rows record how far the rejected
     coefficient forms sit from the numeric bracket without gating the result.
     """
     params = params or ModelParams()
-    states = sample_states(n_points, seed)
+    coords = sample_coords(n_points, seed)
     w2 = params.omega**2
     iR2 = 1.0 / params.radius**2
 
@@ -592,7 +538,7 @@ def verify_df_algebra(params: Optional[ModelParams] = None, n_points: int = 64,
                      "fitted coefficients"))
 
     relations = [(a, b, fn) for a, b, _, fn, _, _, _ in rows]
-    res, gap = _sweep(states, params, relations, ("dual", "fd"))
+    res, gap = _sweep(coords, params, relations, ("dual", "fd"))
 
     checks = []
     for j, (a, b, name, _, row_tol, flagged, note) in enumerate(rows):

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -292,6 +295,29 @@ def test_identities_report_shape(params):
     assert rep["passed"] is True
     names = {c["identity"] for c in rep["checks"]}
     assert "C1 = 0" in names
+    # the batched pass against the single-state API, state by state
+    from hyposc.geometry import momentum_lift
+    from hyposc.invariants import check_identities, evaluate_invariants
+    from hyposc.poisson import sample_states
+
+    loop = [check_identities(evaluate_invariants(momentum_lift(st, params), params), params)
+            for st in sample_states(32, seed=5)]
+    for k, row in enumerate(rep["checks"]):
+        assert abs(row["max_residual"] - max(r.checks[k].residual for r in loop)) <= 1e-12
+
+
+def test_cli_runs_without_scipy_integrate():
+    code = (
+        "import sys, hyposc, hyposc.cli\n"
+        "assert 'scipy.integrate' not in sys.modules, 'on import'\n"
+        "assert hyposc.cli.main(['classify', '0.4', '0.25']) == 0\n"
+        "assert 'scipy.integrate' not in sys.modules, 'after classify'\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,23 @@ def test_integrate_rejects_bad_method(params):
         integrate(st, params, IntegrationConfig(), Mode.OSCILLATOR, method="leapfrog")
 
 
+def test_integrate_calls_solver_set_on_module(params, monkeypatch):
+    # solve_ivp is imported lazily; integrate must call whatever the module
+    # attribute holds, so that a wrapper set on it sees every solver call
+    import hyposc.dynamics as dyn
+
+    calls = []
+    real = dyn.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "solve_ivp", counting)
+    integrate(canonical_state(0.4, 0.25, params), params, IntegrationConfig(t_span=(0.0, 1.0)))
+    assert calls
+
+
 def test_case_a_conservation(case_a):
     traj = case_a["traj"]
     inv0 = traj.samples[0].invariants

@@ -145,9 +145,42 @@ def test_bracket_rejects_singular_state(params):
         bracket(L_SQ, H_OSC, st, params)
 
 
-def test_threading_env_matches_serial(params, monkeypatch):
-    rep_serial = verify_so22(params, n_points=64, seed=11)
-    monkeypatch.setenv("HYPOSC_THREADS", "4")
-    rep_thread = verify_so22(params, n_points=64, seed=11)
-    for a, b in zip(rep_serial.pairs, rep_thread.pairs):
-        assert a.max_residual == b.max_residual
+def test_batched_sweeps_match_single_state_loop(params):
+    # the sweeps' batched residuals against bracket() state by state
+    from hyposc.poisson import _DL_TABLE, _SO22_TABLE, LIBRARY
+
+    states = sample_states(24, seed=11)
+    rep = verify_so22(params, n_points=24, seed=11)
+    for (a, b, coeff, target), row in zip(_SO22_TABLE, rep.pairs):
+        loop = max(
+            abs(bracket(LIBRARY[a], LIBRARY[b], st, params)
+                - (coeff * LIBRARY[target](st, params) if target else 0.0))
+            for st in states
+        )
+        assert abs(row.max_residual - loop) <= 1e-12
+    rep = verify_df_algebra(params, n_points=8, seed=11)
+    for (a, b, _, rhs), row in zip(_DL_TABLE, rep.pairs):
+        loop = 0.0
+        for st in states[:8]:
+            values = {k: obs(st, params) for k, obs in LIBRARY.items()}
+            loop = max(loop, abs(bracket(LIBRARY[a], LIBRARY[b], st, params) - rhs(values)))
+        assert abs(row.max_residual - loop) <= 1e-12
+
+
+def test_df_backend_check_scales_with_bracket_size():
+    # at small R the finite-difference gap exceeds 1e-7 in absolute terms
+    # (1.1e-6 on this seed) but stays near 1e-11 of |grad f| |grad g|
+    rep = verify_df_algebra(ModelParams(2.0, 0.5), n_points=24, seed=5)
+    assert rep.passed
+    assert all(p.backend_gap < 1e-9 for p in rep.pairs)
+
+
+def test_df_backend_check_rejects_wrong_stencil(params, monkeypatch):
+    import hyposc.poisson as poisson
+
+    stencil = poisson.FD_STENCIL[:-1] + ((2.0, 1.0),)  # last weight's sign flipped
+    monkeypatch.setattr(poisson, "FD_STENCIL", stencil)
+    rep = verify_df_algebra(params, n_points=8, seed=3)
+    assert not rep.passed
+    regular = [p for p in rep.pairs if not p.flagged]
+    assert all(p.backend_gap > 1e-3 and not p.passed for p in regular)
