@@ -87,7 +87,10 @@ class Dual:
         return Dual(self.re % m, self.im)
 
     def __abs__(self):
-        return self if _real(self.re) >= 0 else -self
+        re = _real(self.re)
+        if isinstance(re, np.ndarray):
+            return self * np.where(re >= 0, 1.0, -1.0)
+        return self if re >= 0 else -self
 
     # ---- ordering on the real part ----------------------------------------
 

@@ -18,9 +18,17 @@ system
 is integrated instead (z . grad V = 0, so the multiplier carries no
 potential term).  Orbits that can reach the cone at all (L^2 <= 0, or a
 start already inside the band) are integrated in ambient form throughout.
-Samples are taken at the solver's accepted steps; events (chart crossings,
-radial turning points, period closures) are root-polished by the solver's
-own bisection to ~1e-12.
+
+Every stretch, chart or ambient, is one run of `solve_stretch`: a single
+DOP853 solver object stepped to the stretch end, with solve_ivp's event
+rules and one OdeSolution built from the per-step interpolants.  On ambient
+stretches the driver re-projects the state onto the shell z.z = R^2 in place
+about once per dynamical time (dt_proj) and keeps stepping: the step size
+and controller state carry over, so there is no restart (the projection
+method of Hairer-Lubich-Wanner, Geometric Numerical Integration, IV.4).
+Samples are taken at the solver's accepted steps, before any projection;
+events (chart crossings, radial turning points, period closures) are
+root-polished by brentq on the step's dense output to ~1e-12.
 
 The time-T map of a bounded orbit is the central inversion
 (z0, zvec, p0, pvec) -> (z0, -zvec, p0, -pvec); a PeriodClosure event is
@@ -32,7 +40,6 @@ multiple of the radial period (full identity at even multiples).
 import json
 import math
 import os
-import sys
 import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
@@ -59,9 +66,10 @@ from .invariants import (
 
 
 def __getattr__(name):
-    # solve_ivp loads scipy.integrate (most of the package's import time), so
-    # it is imported on first use; `integrate` reaches it through the module
-    # so that a wrapper set with setattr(dynamics, "solve_ivp", ...) is called
+    # scipy.integrate is most of the package's import time, so it is loaded on
+    # first use only.  integrate() steps its own solver (solve_stretch) and no
+    # longer calls solve_ivp; the name stays reachable here for tools that
+    # look it up on this module
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
 
@@ -253,12 +261,27 @@ def _radial_force_scale(is_outer: bool, y, params: ModelParams, mode: Mode) -> f
     if is_outer:
         sh, ch = math.sinh(y[0]), math.cosh(y[0])
         lsq = y[5] ** 2 / math.cosh(y[1]) ** 2 - y[4] ** 2
-        cent = abs(lsq) * ch / (R2 * max(abs(sh), 1e-300) ** 3)
+        cent = abs(lsq) * ch / (R2 * max(abs(sh) ** 3, 1e-300))
         return cent + w2 * abs(sh) / ch**3
     sn, cn = math.sin(y[0]), math.cos(y[0])
     a = y[4] ** 2 + (y[5] ** 2 / math.sinh(y[1]) ** 2 if y[5] != 0.0 else 0.0)
-    cent = a * abs(cn) / (R2 * max(abs(sn), 1e-300) ** 3)
+    cent = a * abs(cn) / (R2 * max(abs(sn) ** 3, 1e-300))
     return cent + w2 * abs(sn) / abs(cn) ** 3
+
+
+def _tracks_turns(is_outer: bool, y, params: ModelParams, mode: Mode) -> bool:
+    """Whether a stretch starting at chart state y looks for radial turns.
+
+    A circular orbit keeps p1 = 0 and pdot1 = 0 exactly, which would make a
+    turning-event function (p1 on a chart, z0 p0 in ambient form) vanish up
+    to rounding all along and report spurious roots; it is skipped then.
+    """
+    pmag = max(1.0, abs(y[4]), abs(y[5]))
+    if abs(y[3]) >= 1e-12 * pmag:
+        return True
+    d1 = _chart_rhs(is_outer, params, mode)(0.0, y)[3]
+    fmag = _radial_force_scale(is_outer, y, params, mode)
+    return abs(d1) >= 1e-9 * max(fmag, 1e-30)
 
 
 def _ambient_rhs(params: ModelParams, mode: Mode):
@@ -339,6 +362,112 @@ def _shape_s(y8: np.ndarray, radius: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the stepping driver
+# ---------------------------------------------------------------------------
+
+
+class Stretch(NamedTuple):
+    """One solver run: the fields of a solve_ivp result that integrate reads."""
+
+    t: np.ndarray  # stretch start, then each accepted step end (or a terminal root)
+    y: np.ndarray  # (n, t.size) states at those times, before any projection
+    sol: object  # scipy OdeSolution over the stretch
+    t_events: list  # root times, one array per event function
+    nfev: int
+    status: int  # 0 reached the end, 1 terminal event, -1 solver failure
+    message: str
+    t_proj: tuple  # times at which the state was projected
+
+
+def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, max_step=math.inf,
+                  project=None, dt_proj=math.inf) -> Stretch:
+    """Step one DOP853 solver over t_span, detecting events as solve_ivp does.
+
+    An event function counts on a step when g_old <= 0 <= g_new or g_old >= 0
+    >= g_new, filtered by its `direction` attribute; its root is found by
+    brentq on the step's dense output with xtol = rtol = 4 eps.  An event with
+    a true `terminal` attribute stops the stretch at its root.
+
+    With `project`, the state is replaced by project(y) at the first step end
+    at least dt_proj after the previous projection (or the start).  The
+    first-same-as-last stage is recomputed from the projected state and the
+    step size is kept, so the solver carries on without a restart.  Recorded
+    samples and interpolants are those of the unprojected steps.
+    """
+    from scipy.integrate import DOP853, OdeSolution
+    from scipy.optimize import brentq
+
+    t0, t_bound = float(t_span[0]), float(t_span[1])
+    solver = DOP853(fun, t0, y0, t_bound, rtol=rtol, atol=atol, max_step=max_step)
+    if not (hasattr(solver, "y") and hasattr(solver, "f")):
+        raise RuntimeError("DOP853 no longer exposes the state y and stage f")
+    tol = 4.0 * np.finfo(float).eps
+    terminal = [bool(getattr(ev, "terminal", False)) for ev in events]
+    direction = [getattr(ev, "direction", 0.0) for ev in events]
+    g = [ev(t0, y0) for ev in events]
+    t_events = [[] for _ in events]
+    ts, ys, interpolants, t_proj = [t0], [solver.y], [], []
+    t_last_proj = t0
+    status = None
+    message = None
+    while status is None:
+        message = solver.step()
+        if solver.status == "failed":
+            status = -1
+            break
+        if solver.status == "finished":
+            status = 0
+        t_old, t, y = solver.t_old, solver.t, solver.y
+        dense = solver.dense_output()
+        interpolants.append(dense)
+        if events:
+            g_new = [ev(t, y) for ev in events]
+            active = [
+                i
+                for i, (a, b, d) in enumerate(zip(g, g_new, direction))
+                if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b)
+            ]
+            if active:
+                roots = [
+                    brentq(lambda s, ev=events[i]: ev(s, dense(s)), t_old, t,
+                           xtol=tol, rtol=tol)
+                    for i in active
+                ]
+                hits = sorted(zip(roots, active))
+                if any(terminal[i] for i in active):
+                    # keep the roots up to the first terminal one and stop there
+                    cut = next(k for k, (_, i) in enumerate(hits) if terminal[i])
+                    hits = hits[: cut + 1]
+                    status = 1
+                    t = hits[-1][0]
+                    y = dense(t)
+                for root, i in hits:
+                    t_events[i].append(root)
+            g = g_new
+        if t == ts[-1] and len(ts) > 1:
+            interpolants.pop()  # a terminal root on the previous step end
+        else:
+            ts.append(t)
+            ys.append(y)
+        if project is not None and status is None and t - t_last_proj >= dt_proj:
+            solver.y = project(solver.y)
+            solver.f = solver.fun(t, solver.y)
+            t_proj.append(t)
+            t_last_proj = t
+            g = [ev(t, solver.y) for ev in events]
+    return Stretch(
+        np.array(ts),
+        np.array(ys).T,
+        OdeSolution(ts, interpolants),
+        [np.asarray(te) for te in t_events],
+        solver.nfev,
+        status,
+        message or "",
+        tuple(t_proj),
+    )
+
+
+# ---------------------------------------------------------------------------
 # trajectory container
 # ---------------------------------------------------------------------------
 
@@ -359,8 +488,9 @@ CSV_COLUMNS = (
 INVARIANTS_COLUMNS = "t,H,N1,N2,N3,L1,L2,L3,Lsq,C1,C2,D11,D12,D13,D22,D23,D33"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# one %-format per CSV row; "%.17g" prints exactly what f"{x:.17g}" does
+_CSV_ROW = "%.17g,%s," + ",".join(["%.17g"] * (CSV_COLUMNS.count(",") - 1))
+_INVARIANTS_ROW = ",".join(["%.17g"] * (INVARIANTS_COLUMNS.count(",") + 1))
 
 
 def atomic_write_text(path: str, content: str):
@@ -424,34 +554,13 @@ class Trajectory:
             d = s.invariants.df.d
             pt = s.state.point
             z = s.ambient.z
-            vals = [
-                _fmt(s.t),
-                pt.chart.value,
-                _fmt(pt.q1),
-                _fmt(pt.q2),
-                _fmt(pt.phi),
-                _fmt(s.state.p1),
-                _fmt(s.state.p2),
-                _fmt(s.state.pphi),
-                _fmt(z.z0),
-                _fmt(z.z1),
-                _fmt(z.z2),
-                _fmt(z.z3),
-                _fmt(s.invariants.hamiltonian),
-                _fmt(g.l1),
-                _fmt(g.l2),
-                _fmt(g.l3),
-                _fmt(s.invariants.l_squared),
-                _fmt(s.invariants.casimir1),
-                _fmt(s.invariants.casimir2),
-                _fmt(d[0, 0]),
-                _fmt(d[0, 1]),
-                _fmt(d[0, 2]),
-                _fmt(d[1, 1]),
-                _fmt(d[1, 2]),
-                _fmt(d[2, 2]),
-            ]
-            rows.append(",".join(vals))
+            rows.append(_CSV_ROW % (
+                s.t, pt.chart.value, pt.q1, pt.q2, pt.phi,
+                s.state.p1, s.state.p2, s.state.pphi, z.z0, z.z1, z.z2, z.z3,
+                s.invariants.hamiltonian, g.l1, g.l2, g.l3, s.invariants.l_squared,
+                s.invariants.casimir1, s.invariants.casimir2,
+                d[0, 0], d[0, 1], d[0, 2], d[1, 1], d[1, 2], d[2, 2],
+            ))
         atomic_write_text(path, "\n".join(rows) + "\n")
 
     def to_invariants_csv(self, path: str):
@@ -459,26 +568,11 @@ class Trajectory:
         for s in self.samples:
             g = s.invariants.generators
             d = s.invariants.df.d
-            vals = [
-                _fmt(s.t),
-                _fmt(s.invariants.hamiltonian),
-                _fmt(g.n1),
-                _fmt(g.n2),
-                _fmt(g.n3),
-                _fmt(g.l1),
-                _fmt(g.l2),
-                _fmt(g.l3),
-                _fmt(s.invariants.l_squared),
-                _fmt(s.invariants.casimir1),
-                _fmt(s.invariants.casimir2),
-                _fmt(d[0, 0]),
-                _fmt(d[0, 1]),
-                _fmt(d[0, 2]),
-                _fmt(d[1, 1]),
-                _fmt(d[1, 2]),
-                _fmt(d[2, 2]),
-            ]
-            rows.append(",".join(vals))
+            rows.append(_INVARIANTS_ROW % (
+                s.t, s.invariants.hamiltonian, g.n1, g.n2, g.n3, g.l1, g.l2, g.l3,
+                s.invariants.l_squared, s.invariants.casimir1, s.invariants.casimir2,
+                d[0, 0], d[0, 1], d[0, 2], d[1, 1], d[1, 2], d[2, 2],
+            ))
         atomic_write_text(path, "\n".join(rows) + "\n")
 
     def events_as_dicts(self):
@@ -509,7 +603,6 @@ def integrate(
     """
     if method not in ("auto", "chart", "ambient"):
         raise ValueError(f"unknown method {method!r}")
-    solve_ivp = sys.modules[__name__].solve_ivp
     R = params.radius
     R2 = R * R
     band = cfg.boundary_band if cfg.boundary_band is not None else 1e-6 * R
@@ -523,54 +616,37 @@ def integrate(
     near0 = abs(abs(ph0.z.z0) - R) <= 10.0 * band
     if method == "auto":
         method = "ambient" if (lsq0 <= 1e-12 * max(1.0, abs(lsq0)) or near0) else "chart"
-        if lsq0 <= 0.0:
-            method = "ambient"
 
     rhs_amb = _ambient_rhs(params, mode)
-    opts = dict(
-        method="DOP853",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        dense_output=True,
-    )
+    opts = dict(rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step)
     # ambient stretches re-project onto the shell about once per dynamical
     # time; otherwise the quadratic-form drift grows secularly with the span
     h0val = hamiltonian(initial, params, mode)
     rate = params.omega + math.sqrt(2.0 * abs(h0val)) / R
     dt_proj = min(t1 - t0, 1.0 / max(rate, 1e-6))
 
+    def project(y8):
+        return _project_constraint(y8, R)
+
     raw_samples = []  # (t, kind, chart, yvec)
     events = []
     pieces = []
     max_drift = 0.0
 
-    def record_chart_stretch(sol, chart, skip_first):
-        for i in range(1 if skip_first else 0, sol.t.size):
-            raw_samples.append((sol.t[i], "chart", chart, sol.y[:, i].copy()))
-
-    def record_ambient_stretch(sol, skip_first):
-        for i in range(1 if skip_first else 0, sol.t.size):
-            raw_samples.append((sol.t[i], "ambient", None, sol.y[:, i].copy()))
-
-    # representation state
+    # representation state; `start` is the chart state each stretch begins
+    # from, which decides whether its turning events are tracked
+    chart = initial.point.chart
+    start = np.array(
+        [initial.point.q1, initial.point.q2, initial.point.phi,
+         initial.p1, initial.p2, initial.pphi],
+        dtype=float,
+    )
     if method == "ambient" or near0:
         repr_kind = "ambient"
         y = y80.copy()
     else:
         repr_kind = "chart"
-        chart = initial.point.chart
-        y = np.array(
-            [
-                initial.point.q1,
-                initial.point.q2,
-                initial.point.phi,
-                initial.p1,
-                initial.p2,
-                initial.pphi,
-            ],
-            dtype=float,
-        )
+        y = start
     hybrid = method == "chart"
 
     t = t0
@@ -582,6 +658,7 @@ def integrate(
         n_stretch += 1
         if n_stretch > MAX_STRETCHES:
             raise IntegrationError("too many chart transitions (band thrashing)")
+        track_turns = _tracks_turns(chart.is_outer, start, params, mode)
         if repr_kind == "chart":
             rhs = _chart_rhs(chart.is_outer, params, mode)
             if chart.is_outer:
@@ -600,20 +677,12 @@ def integrate(
             def ev_turn(tt, yy):
                 return yy[3]
 
-            ev_turn.terminal = False
-            # a circular orbit keeps p1 = 0 and pdot1 = 0 exactly, which would
-            # make the turning-event function vanish identically; skip it then
-            d0 = rhs(t, y)
-            pmag = max(1.0, abs(y[4]), abs(y[5]))
-            fmag = _radial_force_scale(chart.is_outer, y, params, mode)
-            track_turns = not (
-                abs(y[3]) < 1e-12 * pmag and abs(d0[3]) < 1e-9 * max(fmag, 1e-30)
-            )
             evs = [ev_band, ev_turn] if track_turns else [ev_band]
-            sol = solve_ivp(rhs, (t, t1), y, events=evs, **opts)
-            if not sol.success and sol.status != 1:
+            sol = solve_stretch(rhs, (t, t1), y, evs, **opts)
+            if sol.status < 0:
                 raise IntegrationError(f"chart integration failed: {sol.message}")
-            record_chart_stretch(sol, chart, skip_first=True)
+            for t_i, y_i in zip(sol.t[1:], sol.y.T[1:]):
+                raw_samples.append((t_i, "chart", chart, y_i))
             pieces.append(_Piece("chart", chart, sol.sol, t, sol.t[-1]))
             turn_times = sol.t_events[1] if track_turns else ()
             for t_ev in turn_times:
@@ -634,27 +703,22 @@ def integrate(
                         "pericenter" if s_min else "apocenter",
                     )
                 )
-            if sol.status == 1 and sol.t_events[0].size:
+            t = float(sol.t[-1])
+            if sol.status == 1:
                 # hand over through the ambient representation
-                t = float(sol.t[-1])
                 y6 = sol.y[:, -1]
                 st = PhaseState(ChartPoint(chart, y6[0], y6[1], y6[2]), y6[3], y6[4], y6[5])
                 y = _y8_from_phase(momentum_lift(st, params))
+                start = y6
                 repr_kind = "ambient"
-            else:
-                t = float(sol.t[-1])
         else:  # ambient stretch
             def ev_cross(tt, yy):
                 return yy[0] * yy[0] - R2
 
-            ev_cross.terminal = False
-
             def ev_turn_amb(tt, yy):
                 return yy[0] * yy[4]
 
-            ev_turn_amb.terminal = False
-
-            evs = [ev_cross, ev_turn_amb]
+            evs = [ev_cross, ev_turn_amb] if track_turns else [ev_cross]
             if hybrid:
 
                 def ev_exit(tt, yy):
@@ -663,18 +727,21 @@ def integrate(
                 ev_exit.terminal = True
                 ev_exit.direction = 1.0
                 evs.append(ev_exit)
-            t_stop = min(t1, t + dt_proj)
-            sol = solve_ivp(rhs_amb, (t, t_stop), y, events=evs, **opts)
-            if not sol.success and sol.status != 1:
+            sol = solve_stretch(
+                rhs_amb, (t, t1), y, evs, project=project, dt_proj=dt_proj, **opts
+            )
+            if sol.status < 0:
                 raise IntegrationError(f"ambient integration failed: {sol.message}")
-            record_ambient_stretch(sol, skip_first=True)
+            for t_i, y_i in zip(sol.t[1:], sol.y.T[1:]):
+                raw_samples.append((t_i, "ambient", None, y_i))
             pieces.append(_Piece("ambient", None, sol.sol, t, sol.t[-1]))
             for t_ev in sol.t_events[0]:
                 yev = sol.sol(float(t_ev))
                 side = "outer->inner" if yev[0] * yev[4] > 0.0 else "inner->outer"
                 # zdot0 = -p0: z0^2 decreasing when z0*p0 > 0
                 events.append(Event(float(t_ev), EventKind.CHART_CROSSING, side))
-            for t_ev in sol.t_events[1]:
+            turn_times = sol.t_events[1] if track_turns else ()
+            for t_ev in turn_times:
                 if t_ev <= t + 1e-12:
                     continue
                 yev = sol.sol(float(t_ev))
@@ -690,26 +757,16 @@ def integrate(
                         "pericenter" if s_min else "apocenter",
                     )
                 )
-            if hybrid and sol.status == 1 and sol.t_events[2].size:
-                t = float(sol.t[-1])
-                y8 = _project_constraint(sol.y[:, -1], R)
-                ph = _phase_from_y8(y8)
+            t = float(sol.t[-1])
+            y = project(sol.y[:, -1])
+            if sol.status == 1:
+                ph = _phase_from_y8(y)
                 chart = chart_select(ph.z, params)
                 st = momentum_project(ph, chart, params)
-                y = np.array(
-                    [
-                        st.point.q1,
-                        st.point.q2,
-                        st.point.phi,
-                        st.p1,
-                        st.p2,
-                        st.pphi,
-                    ]
+                y = start = np.array(
+                    [st.point.q1, st.point.q2, st.point.phi, st.p1, st.p2, st.pphi]
                 )
                 repr_kind = "chart"
-            else:
-                t = float(sol.t[-1])
-                y = _project_constraint(sol.y[:, -1], R)
 
     # ---- assemble samples -------------------------------------------------
     samples = []

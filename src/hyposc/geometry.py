@@ -51,6 +51,10 @@ CONSTRAINT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 # (matches the integrator's abort threshold, not the embed guarantee)
 CONSTRAINT_RTOL = 1e-8
 
+EPS = float(np.finfo(float).eps)
+# unembed takes q1 from the transverse components below sinh^2 / sin^2 q1 = this
+NEAR_POLE = 1e-4
+
 
 class ChartId(Enum):
     OUTER_PLUS = "outer_plus"
@@ -219,11 +223,24 @@ def unembed(z: EmbeddingPoint, chart: ChartId, params: ModelParams) -> ChartPoin
         raise ValueError(f"sheet mismatch: z0 = {z.z0} on chart {chart.value}")
     c = abs(z.z0) / R
     slack = CONSTRAINT_RTOL
+    # near the pole acos/acosh of c lose the radial coordinate to rounding
+    # (c - 1 ~ q1^2/2, so ~eps/q1^2 relative error); on the shell the
+    # transverse part keeps it: sinh^2 r = (rho^2 - z1^2)/R^2 and
+    # sin^2 chi = (z1^2 - rho^2)/R^2.  It is used within q1 ~ 1e-2 of the
+    # pole while it stands above its own cancellation error (on the cone
+    # z1^2 = rho^2 it does not, and the point still raises)
+    rho2, z1sq = z.z2 * z.z2 + z.z3 * z.z3, z.z1 * z.z1
+    floor = 4.0 * EPS * (rho2 + z1sq) / (R * R)
     if chart.is_outer:
         if c < 1.0 - slack:
             raise ValueError(f"|z0| < R: point not on outer chart ({c=})")
-        r = math.acosh(max(c, 1.0))
-        sh = math.sinh(r)
+        sh2 = (rho2 - z1sq) / (R * R)
+        if floor < sh2 < NEAR_POLE:
+            sh = math.sqrt(sh2)
+            r = math.asinh(sh)
+        else:
+            r = math.acosh(max(c, 1.0))
+            sh = math.sinh(r)
         if sh == 0.0:
             if max(abs(z.z1), abs(z.z2), abs(z.z3)) > 1e-12 * R:
                 raise ValueError("point on the degenerate cone |z0| = R")
@@ -233,7 +250,8 @@ def unembed(z: EmbeddingPoint, chart: ChartId, params: ModelParams) -> ChartPoin
         return ChartPoint(chart, r, tau, phi)
     if c > 1.0 + slack:
         raise ValueError(f"|z0| > R: point not on inner chart ({c=})")
-    a = math.acos(min(c, 1.0))
+    sn2 = (z1sq - rho2) / (R * R)
+    a = math.asin(math.sqrt(sn2)) if floor < sn2 < NEAR_POLE else math.acos(min(c, 1.0))
     if a == 0.0:
         if max(abs(z.z1), abs(z.z2), abs(z.z3)) > 1e-12 * R:
             raise ValueError("point on the degenerate cone |z0| = R")

@@ -713,14 +713,10 @@ _R_CAP = 4.0  # radial cap for unbounded curve sampling
 _R_FLOOR = 0.05
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_table(path: str, header: str, rows: np.ndarray):
+    row_fmt = ",".join(["%.17g"] * (header.count(",") + 1))
     lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(row_fmt % tuple(row) for row in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -233,6 +233,17 @@ def test_simulate_missing_config_file(tmp_path):
     assert main(["simulate", "--config", missing, "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_simulate_zero_l2_span_ending_at_the_pole(tmp_path):
+    # a sample of this L^2 = 0 orbit lands within rounding of the pole
+    from hyposc import ModelParams, classify
+
+    period = classify(0.25, 0.0, ModelParams(1.0, 1.0)).period
+    cfg = _base_config(initial={"analytic": {"e": 0.25, "l_sq": 0.0}},
+                       integration={"t_span": [0.0, 1.5 * period]})
+    cfg_path = _write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "run")]) == EXIT_OK
+
+
 def test_simulate_numeric_failure(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise IntegrationError("constraint drift exceeded budget")

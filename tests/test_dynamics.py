@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import hyposc.dynamics as dyn
 from hyposc.dynamics import (
     EventKind,
     IntegrationConfig,
@@ -17,7 +18,7 @@ from hyposc.dynamics import (
 )
 from hyposc.geometry import ChartId, ChartPoint, ModelParams, PhaseState
 from hyposc.invariants import l_squared
-from hyposc.orbits import canonical_state, radial_solution
+from hyposc.orbits import canonical_state, classify, radial_solution
 
 
 # ---------------------------------------------------------------------------
@@ -136,18 +137,18 @@ def test_integrate_rejects_bad_method(params):
 
 
 def test_integrate_calls_solver_set_on_module(params, monkeypatch):
-    # solve_ivp is imported lazily; integrate must call whatever the module
-    # attribute holds, so that a wrapper set on it sees every solver call
+    # integrate must call whatever the module attribute holds, so that a
+    # wrapper set on it sees every solver call
     import hyposc.dynamics as dyn
 
     calls = []
-    real = dyn.solve_ivp
+    real = dyn.solve_stretch
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(dyn, "solve_ivp", counting)
+    monkeypatch.setattr(dyn, "solve_stretch", counting)
     integrate(canonical_state(0.4, 0.25, params), params, IntegrationConfig(t_span=(0.0, 1.0)))
     assert calls
 
@@ -219,6 +220,118 @@ def test_chart_and_ambient_methods_agree(params):
     )
 
 
+def test_chart_turning_events_match_solve_ivp(case_a, params):
+    # the stepping driver copies solve_ivp's event rules, so on the chart path
+    # it finds the same roots to the last bit
+    from scipy.integrate import solve_ivp
+
+    st = case_a["state"]
+    cfg = IntegrationConfig(t_span=(0.0, 10.0 * case_a["period"]))
+
+    def turn(t, y):
+        return y[3]
+
+    y0 = [st.point.q1, st.point.q2, st.point.phi, st.p1, st.p2, st.pphi]
+    ref = solve_ivp(dyn._chart_rhs(True, params, Mode.OSCILLATOR), cfg.t_span, y0,
+                    method="DOP853", rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                    dense_output=True, events=[turn])
+    expected = [t for t in ref.t_events[0] if t > 1e-12]
+    turns = [e.t for e in case_a["traj"].events if e.kind == EventKind.RADIAL_TURNING_POINT]
+    assert len(turns) == 19
+    assert turns == expected
+
+
+def test_solve_stretch_projects_in_place_and_reports_events():
+    # y' = y, halved at each projection: the exact end value is e^T / 2^n,
+    # which a first stage left over from the unprojected state would miss
+    def at_start(t, y):
+        return t
+
+    def crossing(t, y):  # each projected state e^t / 2^n stays above 1.2
+        return y[0] - 1.2
+
+    res = dyn.solve_stretch(lambda t, y: y, (0.0, 3.0), np.array([1.0]), [at_start, crossing],
+                            rtol=1e-12, atol=1e-14, project=lambda y: 0.5 * y, dt_proj=1.0)
+    assert res.status == 0 and len(res.t_proj) == 2
+    # no restart: the solver keeps its step size across a projection
+    plain = dyn.solve_stretch(lambda t, y: y, (0.0, 3.0), np.array([1.0]),
+                              rtol=1e-12, atol=1e-14)
+    assert res.t.size <= plain.t.size + 2
+    assert np.all(np.diff(res.t_proj) >= 1.0) and res.t_proj[0] >= 1.0
+    npt.assert_allclose(res.y[0, -1], math.exp(3.0) / 4.0, rtol=1e-10)
+    assert list(res.t_events[0]) == [0.0]  # a zero at the start counts
+    npt.assert_allclose(res.t_events[1], [math.log(1.2)], rtol=1e-10)
+
+    def stop(t, y):
+        return y[0] - 2.0
+
+    stop.terminal = True
+    stop.direction = 1.0
+    res = dyn.solve_stretch(lambda t, y: y, (0.0, 3.0), np.array([1.0]), [stop],
+                            rtol=1e-12, atol=1e-14)
+    assert res.status == 1
+    assert res.t[-1] == res.t_events[0][0]
+    npt.assert_allclose([res.t[-1], res.y[0, -1]], [math.log(2.0), 2.0], rtol=1e-12)
+
+
+def test_ambient_projection_cadence_and_drift(neg_l2_traj, params, monkeypatch):
+    # ambient stretches project in place at most once per dt_proj, and the
+    # unprojected samples stay well inside the 1e-8 R^2 drift abort
+    runs = []
+    real = dyn.solve_stretch
+
+    def recording(fun, t_span, y0, events=(), **kw):
+        res = real(fun, t_span, y0, events, **kw)
+        runs.append((t_span, kw, res))
+        return res
+
+    monkeypatch.setattr(dyn, "solve_stretch", recording)
+    cfg = IntegrationConfig(t_span=(0.0, 2.0 * neg_l2_traj["period"]))
+    integrate(neg_l2_traj["state"], params, cfg)
+    assert runs
+    R2 = params.radius**2
+    for (t0, t1), kw, res in runs:
+        dt_proj = kw["dt_proj"]
+        t_proj = np.array(res.t_proj)
+        assert t_proj.size >= 1
+        assert np.all(np.diff(np.concatenate([[t0], t_proj])) >= dt_proj)
+        assert t_proj.size <= (t1 - t0) / dt_proj
+        z = res.y[:4]
+        drift = np.abs(z[0] ** 2 + z[1] ** 2 - z[2] ** 2 - z[3] ** 2 - R2)
+        assert np.max(drift) <= 1e-9 * R2
+
+
+def test_chart_method_hands_over_through_the_band(params):
+    # the hybrid stops each stretch on a directed terminal event (band entry
+    # on the chart, band exit in ambient form) and alternates representations
+    period = 2.0 * math.pi / math.sqrt(2.0)
+    st = canonical_state(0.25, -1.0, params)
+    traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 2.0 * period)), method="chart")
+    kinds = [p.kind for p in traj.pieces]
+    assert kinds[:4] == ["chart", "ambient", "chart", "ambient"]
+    assert all(a != b for a, b in zip(kinds, kinds[1:]))
+    crossings = [e for e in traj.events if e.kind == EventKind.CHART_CROSSING]
+    assert [e.detail for e in crossings[:2]] == ["outer->inner", "inner->outer"]
+    npt.assert_allclose([e.t for e in crossings[:2]], [1.686890373, 2.755992566], atol=1e-5)
+
+
+def test_ambient_circular_orbit_has_no_turning_events(params):
+    st = canonical_state(0.375, 0.25, params)
+    traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 20.0)), method="ambient")
+    assert not [e for e in traj.events if e.kind == EventKind.RADIAL_TURNING_POINT]
+    npt.assert_allclose(measure_period(traj), 2.0 * math.pi, atol=1e-6)
+
+
+def test_zero_l2_span_ending_at_the_pole(params):
+    # samples of this L^2 = 0 orbit land within rounding of the coordinate
+    # pole, where |z0| / R rounds to 1
+    period = classify(0.25, 0.0, params).period
+    st = canonical_state(0.25, 0.0, params)
+    traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 1.5 * period)))
+    assert traj.samples[-1].t == pytest.approx(1.5 * period)
+    npt.assert_allclose(measure_period(traj), period, rtol=1e-8)
+
+
 def test_free_mode_conserves_all_generators(params):
     st = PhaseState(ChartPoint(ChartId.OUTER_PLUS, 1.0, 0.3, 0.2), 0.4, -0.3, 0.6)
     traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 8.0)), Mode.FREE)
@@ -273,3 +386,33 @@ def test_trajectory_export_round_trip(case_a, tmp_path):
     assert len(rows) == len(traj.samples) + 1
     t_back = [float(r.split(",")[0]) for r in rows[1:]]
     npt.assert_allclose(t_back, traj.times, rtol=0, atol=0)  # full-precision dump
+
+
+def _fstring_rows(values):
+    return [",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) for row in values]
+
+
+def test_csv_rows_match_fstring_join(case_a, tmp_path):
+    traj = case_a["traj"]
+    traj.to_csv(str(tmp_path / "t.csv"))
+    traj.to_invariants_csv(str(tmp_path / "i.csv"))
+    full, inv = [], []
+    for s in traj.samples:
+        g, d, pt, z = s.invariants.generators, s.invariants.df.d, s.state.point, s.ambient.z
+        tail = [s.invariants.l_squared, s.invariants.casimir1, s.invariants.casimir2,
+                d[0, 0], d[0, 1], d[0, 2], d[1, 1], d[1, 2], d[2, 2]]
+        full.append([s.t, pt.chart.value, pt.q1, pt.q2, pt.phi, s.state.p1, s.state.p2,
+                     s.state.pphi, z.z0, z.z1, z.z2, z.z3, s.invariants.hamiltonian,
+                     g.l1, g.l2, g.l3] + tail)
+        inv.append([s.t, s.invariants.hamiltonian, g.n1, g.n2, g.n3, g.l1, g.l2, g.l3] + tail)
+    assert (tmp_path / "t.csv").read_text().splitlines()[1:] == _fstring_rows(full)
+    assert (tmp_path / "i.csv").read_text().splitlines()[1:] == _fstring_rows(inv)
+
+
+def test_csv_row_format_on_special_values():
+    special = (np.float64("nan"), math.inf, -np.inf, -0.0, np.float64(-0.0),
+               np.float32(0.1), np.int64(7), 1.0 / 3.0, 5e-324, 1e22)
+    row = (special * 3)[:24]
+    values = (row[0], "outer_plus") + row[1:]
+    assert dyn._CSV_ROW % values == _fstring_rows([values])[0]
+    assert dyn._INVARIANTS_ROW % row[:17] == _fstring_rows([row[:17]])[0]

@@ -150,6 +150,31 @@ def test_unembed_pole_convention(params):
     assert (pt.q1, pt.q2, pt.phi) == (0.0, 0.0, 0.0)
 
 
+def test_unembed_near_pole_takes_radius_from_transverse_part(params):
+    # |z0| / R rounds to 1 here, so acosh alone gives r = 0 and the point
+    # looked like a cone point
+    pt = unembed(EmbeddingPoint(1.0, 0.0, -6.9e-12, 0.0), ChartId.OUTER_PLUS, params)
+    npt.assert_allclose(pt.q1, 6.9e-12, rtol=1e-15)
+    assert pt.q2 == 0.0
+    npt.assert_allclose(pt.phi, math.pi, rtol=1e-15)
+    inner = unembed(EmbeddingPoint(1.0, 3e-12, 0.0, 0.0), ChartId.INNER_PLUS, params)
+    npt.assert_allclose(inner.q1, 3e-12, rtol=1e-15)
+    for src in (ChartPoint(ChartId.OUTER_PLUS, 1e-6, 0.4, 0.3),
+                ChartPoint(ChartId.INNER_MINUS, -2e-6, 0.7, 1.1)):
+        back = unembed(embed(src, params), src.chart, params)
+        npt.assert_allclose([back.q1, back.q2, back.phi], [src.q1, src.q2, src.phi],
+                            rtol=1e-9)
+
+
+@pytest.mark.parametrize("z", [(1.0, 0.5, 0.5, 0.0), (1.0, 0.1, 0.06, 0.08),
+                               (-1.0, 3.0, 1.8, -2.4)])
+def test_unembed_cone_points_raise(z, params):
+    for chart in ChartId:
+        if chart.sheet_sign * z[0] > 0.0:
+            with pytest.raises(ValueError, match="degenerate cone"):
+                unembed(EmbeddingPoint(*z), chart, params)
+
+
 def test_unembed_canonicalizes_negative_mu(params):
     src = ChartPoint(ChartId.INNER_PLUS, 0.8, -0.9, 0.3)
     back = unembed(embed(src, params), ChartId.INNER_PLUS, params)

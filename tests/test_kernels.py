@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyposc.duals import Dual
 from hyposc.geometry import (
     ChartId,
     ChartPoint,
@@ -124,3 +125,10 @@ def test_batch_raises_where_a_single_state_raises(chart, pole, momenta):
     # the same row without angular momenta lifts, and equals the single state
     rows[1] = pole + (momenta[0], 0.0, 0.0)
     _check_batch(chart, rows, params)
+
+
+def test_dual_abs_is_elementwise():
+    batch = abs(Dual(np.array([1.0, -1.0]), 1.0))
+    singles = [abs(Dual(1.0, 1.0)), abs(Dual(-1.0, 1.0))]
+    np.testing.assert_array_equal(batch.re, [d.re for d in singles])
+    np.testing.assert_array_equal(batch.im, [d.im for d in singles])

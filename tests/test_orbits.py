@@ -466,3 +466,14 @@ def test_export_figure_curves_match_potential(params, tmp_path):
 def test_export_figures_rejects_unknown(params, tmp_path):
     with pytest.raises(ValueError):
         export_figures(("fig12",), str(tmp_path), params)
+
+
+def test_write_table_matches_fstring_join(tmp_path):
+    from hyposc.orbits import _write_table
+
+    rows = np.array([[np.nan, np.inf, -np.inf, -0.0],
+                     [np.float32(0.1), 1.0 / 3.0, 5e-324, 1e22]])
+    path = tmp_path / "table.csv"
+    _write_table(str(path), "a,b,c,d", rows)
+    expected = ["a,b,c,d"] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    assert path.read_text() == "\n".join(expected) + "\n"
