@@ -1,7 +1,7 @@
 """Classical harmonic oscillator on the SO(2,2) hyperboloid.
 
 Charts and momentum lifts (`geometry`), conserved quantities and their
-identities (`invariants`), a hybrid chart/ambient symplectic-constraint
+identities (`invariants`), a chart or ambient symplectic-constraint
 integrator (`dynamics`), canonical Poisson brackets with algebra sweeps
 (`poisson`), closed-form orbit analysis and figure data (`orbits`), and a
 command-line front end (`cli`).

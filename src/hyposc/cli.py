@@ -68,7 +68,6 @@ class RunConfig:
     initial: PhaseState
     analytic: Optional[tuple]  # (e, l_sq) when the run was posed that way
     integration: IntegrationConfig
-    method: str
     outputs: tuple
 
 
@@ -125,15 +124,14 @@ def _parse_analytic(obj, params: ModelParams):
 
 def _parse_integration(obj):
     if obj is None:
-        return IntegrationConfig(), "auto"
-    _require_keys(
-        obj,
-        ("rel_tol", "abs_tol", "max_step", "t_span", "boundary_band", "method"),
-        "integration",
-    )
-    method = obj.get("method", "auto")
-    if method not in ("auto", "chart", "ambient"):
-        raise ConfigError("integration.method must be auto, chart or ambient")
+        return IntegrationConfig()
+    for key in ("method", "boundary_band"):
+        if key in obj:
+            raise ConfigError(
+                f"integration.{key} is no longer accepted: the representation is "
+                "now chosen from the initial state"
+            )
+    _require_keys(obj, ("rel_tol", "abs_tol", "max_step", "t_span"), "integration")
     span = obj.get("t_span", (0.0, 10.0))
     if not (isinstance(span, (list, tuple)) and len(span) == 2):
         raise ConfigError("integration.t_span must be [t0, t1]")
@@ -144,10 +142,8 @@ def _parse_integration(obj):
         kwargs["abs_tol"] = float(obj["abs_tol"])
     if obj.get("max_step") is not None:
         kwargs["max_step"] = float(obj["max_step"])
-    if obj.get("boundary_band") is not None:
-        kwargs["boundary_band"] = float(obj["boundary_band"])
     try:
-        return IntegrationConfig(**kwargs), method
+        return IntegrationConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"bad integration block: {exc}") from exc
 
@@ -206,9 +202,9 @@ def load_config(obj: dict) -> RunConfig:
             raise ConfigError("analytic initial specs describe oscillator runs only")
         state, analytic = _parse_analytic(initial["analytic"], params)
 
-    integration, method = _parse_integration(obj.get("integration"))
+    integration = _parse_integration(obj.get("integration"))
     outputs = _parse_outputs(obj.get("outputs"))
-    return RunConfig(params, mode, state, analytic, integration, method, outputs)
+    return RunConfig(params, mode, state, analytic, integration, outputs)
 
 
 def _read_config_file(path: str) -> RunConfig:
@@ -307,9 +303,7 @@ def _report_dict(cfg: RunConfig, traj: Trajectory, files: dict) -> dict:
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     try:
-        traj = integrate(
-            cfg.initial, cfg.params, cfg.integration, mode=cfg.mode, method=cfg.method
-        )
+        traj = integrate(cfg.initial, cfg.params, cfg.integration, mode=cfg.mode)
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

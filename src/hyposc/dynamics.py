@@ -7,28 +7,29 @@ Chart-form Hamiltonians (kinetic sign flips between chart families):
 
 with the chart L^2 of invariants.l_squared.  Free mode drops the potential.
 
-Integration runs on the chart equations wherever they are regular and hands
-the state through the ambient representation inside a band |{|z0| - R}| <
-boundary_band around the degenerate cone, where the constrained ambient
-system
+Each run is integrated in one representation, chosen from the initial state.
+An outer-chart state with L^2 > 2 R^2 H S_BAND runs on the outer chart
+equations: at its pericenter p_r = 0 and the potential is >= 0, so
+H >= L^2/(2 R^2 s_min) and the shape s = sinh^2 r never falls below S_BAND,
+well clear of the degenerate cone |z0| = R (s = 0).  Every other state
+(inner charts, where L^2 <= 0, and orbits that can come near the cone) runs
+on the constrained ambient system
 
     zdot = G^{-1} p,   pdot = -grad V + lambda G z,
     lambda = G^{-1}(p, p) / R^2
 
-is integrated instead (z . grad V = 0, so the multiplier carries no
-potential term).  Orbits that can reach the cone at all (L^2 <= 0, or a
-start already inside the band) are integrated in ambient form throughout.
+throughout (z . grad V = 0, so the multiplier carries no potential term).
 
-Every stretch, chart or ambient, is one run of `solve_stretch`: a single
-DOP853 solver object stepped to the stretch end, with solve_ivp's event
-rules and one OdeSolution built from the per-step interpolants.  On ambient
-stretches the driver re-projects the state onto the shell z.z = R^2 in place
-about once per dynamical time (dt_proj) and keeps stepping: the step size
-and controller state carry over, so there is no restart (the projection
-method of Hairer-Lubich-Wanner, Geometric Numerical Integration, IV.4).
-Samples are taken at the solver's accepted steps, before any projection;
-events (chart crossings, radial turning points, period closures) are
-root-polished by brentq on the step's dense output to ~1e-12.
+A run is one call of `solve_stretch`: a single DOP853 solver object stepped
+over the span, with solve_ivp's event rules and one OdeSolution built from
+the per-step interpolants.  In ambient form solve_stretch re-projects the
+state onto the shell z.z = R^2 in place about once per dynamical time
+(dt_proj) and keeps stepping: the step size and controller state carry
+over, so there is no restart (the projection method of Hairer-Lubich-Wanner,
+Geometric Numerical Integration, IV.4).  Samples are taken at the solver's accepted
+steps, before any projection; events (chart crossings, radial turning
+points, period closures) are root-polished by brentq on the step's dense
+output to ~1e-12.
 
 The time-T map of a bounded orbit is the central inversion
 (z0, zvec, p0, pvec) -> (z0, -zvec, p0, -pvec); a PeriodClosure event is
@@ -80,7 +81,8 @@ def __getattr__(name):
 
 CLOSURE_TOL = 1e-6
 CONSTRAINT_ABORT = 1e-8
-MAX_STRETCHES = 10_000
+# chart runs need L^2 > 2 R^2 H S_BAND, which keeps sinh^2 r above S_BAND
+S_BAND = 2e-5
 
 
 class Mode(Enum):
@@ -114,7 +116,6 @@ class IntegrationConfig:
     abs_tol: float = 1e-12
     max_step: float = math.inf
     t_span: tuple = (0.0, 10.0)
-    boundary_band: Optional[float] = None  # default 1e-6 * R at use
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
@@ -124,8 +125,6 @@ class IntegrationConfig:
         t0, t1 = self.t_span
         if not (t1 > t0):
             raise ValueError("t_span must have t1 > t0")
-        if self.boundary_band is not None and not (self.boundary_band > 0.0):
-            raise ValueError("boundary_band must be positive")
 
 
 class IntegrationError(RuntimeError):
@@ -369,12 +368,12 @@ def _shape_s(y8: np.ndarray, radius: float) -> float:
 class Stretch(NamedTuple):
     """One solver run: the fields of a solve_ivp result that integrate reads."""
 
-    t: np.ndarray  # stretch start, then each accepted step end (or a terminal root)
+    t: np.ndarray  # stretch start, then each accepted step end
     y: np.ndarray  # (n, t.size) states at those times, before any projection
     sol: object  # scipy OdeSolution over the stretch
     t_events: list  # root times, one array per event function
     nfev: int
-    status: int  # 0 reached the end, 1 terminal event, -1 solver failure
+    status: int  # 0 reached the end, -1 solver failure
     message: str
     t_proj: tuple  # times at which the state was projected
 
@@ -385,8 +384,7 @@ def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, max_step=math.inf,
 
     An event function counts on a step when g_old <= 0 <= g_new or g_old >= 0
     >= g_new, filtered by its `direction` attribute; its root is found by
-    brentq on the step's dense output with xtol = rtol = 4 eps.  An event with
-    a true `terminal` attribute stops the stretch at its root.
+    brentq on the step's dense output with xtol = rtol = 4 eps.
 
     With `project`, the state is replaced by project(y) at the first step end
     at least dt_proj after the previous projection (or the start).  The
@@ -402,7 +400,6 @@ def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, max_step=math.inf,
     if not (hasattr(solver, "y") and hasattr(solver, "f")):
         raise RuntimeError("DOP853 no longer exposes the state y and stage f")
     tol = 4.0 * np.finfo(float).eps
-    terminal = [bool(getattr(ev, "terminal", False)) for ev in events]
     direction = [getattr(ev, "direction", 0.0) for ev in events]
     g = [ev(t0, y0) for ev in events]
     t_events = [[] for _ in events]
@@ -420,35 +417,16 @@ def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, max_step=math.inf,
         t_old, t, y = solver.t_old, solver.t, solver.y
         dense = solver.dense_output()
         interpolants.append(dense)
-        if events:
-            g_new = [ev(t, y) for ev in events]
-            active = [
-                i
-                for i, (a, b, d) in enumerate(zip(g, g_new, direction))
-                if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b)
-            ]
-            if active:
-                roots = [
+        g_new = [ev(t, y) for ev in events]
+        for i, (a, b, d) in enumerate(zip(g, g_new, direction)):
+            if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b):
+                t_events[i].append(
                     brentq(lambda s, ev=events[i]: ev(s, dense(s)), t_old, t,
                            xtol=tol, rtol=tol)
-                    for i in active
-                ]
-                hits = sorted(zip(roots, active))
-                if any(terminal[i] for i in active):
-                    # keep the roots up to the first terminal one and stop there
-                    cut = next(k for k, (_, i) in enumerate(hits) if terminal[i])
-                    hits = hits[: cut + 1]
-                    status = 1
-                    t = hits[-1][0]
-                    y = dense(t)
-                for root, i in hits:
-                    t_events[i].append(root)
-            g = g_new
-        if t == ts[-1] and len(ts) > 1:
-            interpolants.pop()  # a terminal root on the previous step end
-        else:
-            ts.append(t)
-            ys.append(y)
+                )
+        g = g_new
+        ts.append(t)
+        ys.append(y)
         if project is not None and status is None and t - t_last_proj >= dt_proj:
             solver.y = project(solver.y)
             solver.f = solver.fun(t, solver.y)
@@ -470,14 +448,6 @@ def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, max_step=math.inf,
 # ---------------------------------------------------------------------------
 # trajectory container
 # ---------------------------------------------------------------------------
-
-
-class _Piece(NamedTuple):
-    kind: str  # "chart" | "ambient"
-    chart: Optional[ChartId]
-    sol: object  # scipy OdeSolution
-    t0: float
-    t1: float
 
 
 CSV_COLUMNS = (
@@ -515,7 +485,8 @@ class Trajectory:
     events: tuple
     params: ModelParams
     mode: Mode
-    pieces: tuple = field(repr=False, compare=False, default=())
+    sol: object = field(repr=False, compare=False, default=None)  # OdeSolution of the run
+    chart: Optional[ChartId] = None  # chart the run was integrated on; None in ambient form
 
     @property
     def times(self) -> np.ndarray:
@@ -527,16 +498,13 @@ class Trajectory:
         return _phase_from_y8(_project_constraint(y8, self.params.radius))
 
     def _y8_at(self, t: float) -> np.ndarray:
-        for piece in self.pieces:
-            if piece.t0 - 1e-12 <= t <= piece.t1 + 1e-12:
-                y = np.asarray(piece.sol(t), dtype=float)
-                if piece.kind == "ambient":
-                    return y
-                state = PhaseState(
-                    ChartPoint(piece.chart, y[0], y[1], y[2]), y[3], y[4], y[5]
-                )
-                return _y8_from_phase(momentum_lift(state, self.params))
-        raise ValueError(f"t = {t} outside the integrated span")
+        if not (self.sol.t_min - 1e-12 <= t <= self.sol.t_max + 1e-12):
+            raise ValueError(f"t = {t} outside the integrated span")
+        y = np.asarray(self.sol(t), dtype=float)
+        if self.chart is None:
+            return y
+        state = PhaseState(ChartPoint(self.chart, y[0], y[1], y[2]), y[3], y[4], y[5])
+        return _y8_from_phase(momentum_lift(state, self.params))
 
     def shape_series(self, ts) -> np.ndarray:
         """s(t) = sinh^2 r (outer) / -sin^2 chi (inner) on a time grid."""
@@ -592,188 +560,101 @@ def integrate(
     params: ModelParams,
     cfg: IntegrationConfig,
     mode: Mode = Mode.OSCILLATOR,
-    method: str = "auto",
 ) -> Trajectory:
-    """Integrate the canonical equations over cfg.t_span.
+    """Integrate the canonical equations over cfg.t_span in one representation.
 
-    method: "chart" (chart equations, ambient hand-over inside the boundary
-    band), "ambient" (constrained ambient equations throughout, the
-    cross-check mode), or "auto" (ambient whenever the orbit can reach the
-    degenerate cone |z0| = R, i.e. L^2 <= 0 or a start inside the band).
+    An outer-chart state with L^2 > 2 R^2 H S_BAND runs on the outer chart
+    equations; its orbit keeps sinh^2 r above S_BAND.  Every other state runs
+    on the constrained ambient equations, which carry an orbit through the
+    degenerate cone |z0| = R.  Either way the span is one solve_stretch run.
     """
-    if method not in ("auto", "chart", "ambient"):
-        raise ValueError(f"unknown method {method!r}")
     R = params.radius
     R2 = R * R
-    band = cfg.boundary_band if cfg.boundary_band is not None else 1e-6 * R
     t0, t1 = cfg.t_span
 
     ph0 = momentum_lift(initial, params)
     y80 = _y8_from_phase(ph0)
     if not np.all(np.isfinite(y80)):
         raise IntegrationError("non-finite initial data")
-    lsq0 = l_squared(initial)
-    near0 = abs(abs(ph0.z.z0) - R) <= 10.0 * band
-    if method == "auto":
-        method = "ambient" if (lsq0 <= 1e-12 * max(1.0, abs(lsq0)) or near0) else "chart"
-
-    rhs_amb = _ambient_rhs(params, mode)
-    opts = dict(rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step)
-    # ambient stretches re-project onto the shell about once per dynamical
-    # time; otherwise the quadratic-form drift grows secularly with the span
     h0val = hamiltonian(initial, params, mode)
-    rate = params.omega + math.sqrt(2.0 * abs(h0val)) / R
-    dt_proj = min(t1 - t0, 1.0 / max(rate, 1e-6))
-
-    def project(y8):
-        return _project_constraint(y8, R)
-
-    raw_samples = []  # (t, kind, chart, yvec)
-    events = []
-    pieces = []
-    max_drift = 0.0
-
-    # representation state; `start` is the chart state each stretch begins
-    # from, which decides whether its turning events are tracked
     chart = initial.point.chart
     start = np.array(
         [initial.point.q1, initial.point.q2, initial.point.phi,
          initial.p1, initial.p2, initial.pphi],
         dtype=float,
     )
-    if method == "ambient" or near0:
-        repr_kind = "ambient"
-        y = y80.copy()
-    else:
-        repr_kind = "chart"
-        y = start
-    hybrid = method == "chart"
+    track_turns = _tracks_turns(chart.is_outer, start, params, mode)
+    opts = dict(rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step)
+    events = []
 
-    t = t0
-    raw_samples.append(
-        (t0, repr_kind, chart if repr_kind == "chart" else None, y.copy())
-    )
-    n_stretch = 0
-    while t < t1 - 1e-13 * max(1.0, abs(t1)):
-        n_stretch += 1
-        if n_stretch > MAX_STRETCHES:
-            raise IntegrationError("too many chart transitions (band thrashing)")
-        track_turns = _tracks_turns(chart.is_outer, start, params, mode)
-        if repr_kind == "chart":
-            rhs = _chart_rhs(chart.is_outer, params, mode)
-            if chart.is_outer:
+    if chart.is_outer and l_squared(initial) > 2.0 * R2 * h0val * S_BAND:
+        rhs = _chart_rhs(True, params, mode)
 
-                def ev_band(tt, yy):
-                    return R * (math.cosh(yy[0]) - 1.0) - band
+        def ev_turn(tt, yy):
+            return yy[3]
 
-            else:
-
-                def ev_band(tt, yy):
-                    return R * (1.0 - math.cos(yy[0])) - band
-
-            ev_band.terminal = True
-            ev_band.direction = -1.0
-
-            def ev_turn(tt, yy):
-                return yy[3]
-
-            evs = [ev_band, ev_turn] if track_turns else [ev_band]
-            sol = solve_stretch(rhs, (t, t1), y, evs, **opts)
-            if sol.status < 0:
-                raise IntegrationError(f"chart integration failed: {sol.message}")
-            for t_i, y_i in zip(sol.t[1:], sol.y.T[1:]):
-                raw_samples.append((t_i, "chart", chart, y_i))
-            pieces.append(_Piece("chart", chart, sol.sol, t, sol.t[-1]))
-            turn_times = sol.t_events[1] if track_turns else ()
-            for t_ev in turn_times:
-                if t_ev <= t + 1e-12:
-                    continue
-                yev = sol.sol(float(t_ev))
-                d_ev = rhs(float(t_ev), yev)
-                # shape minimum iff d(shape)/dt turns up: sign carried by pdot1
-                # (times sin q1 on the inner chart, where shape = -sin^2 q1)
-                if chart.is_outer:
-                    s_min = d_ev[3] > 0.0
-                else:
-                    s_min = math.sin(yev[0]) * d_ev[3] > 0.0
-                events.append(
-                    Event(
-                        float(t_ev),
-                        EventKind.RADIAL_TURNING_POINT,
-                        "pericenter" if s_min else "apocenter",
-                    )
+        sol = solve_stretch(rhs, (t0, t1), start, [ev_turn] if track_turns else [], **opts)
+        if sol.status < 0:
+            raise IntegrationError(f"chart integration failed: {sol.message}")
+        for t_ev in sol.t_events[0] if track_turns else ():
+            if t_ev <= t0 + 1e-12:
+                continue
+            # shape minimum iff d(shape)/dt turns up: sign carried by pdot1
+            s_min = rhs(float(t_ev), sol.sol(float(t_ev)))[3] > 0.0
+            events.append(
+                Event(
+                    float(t_ev),
+                    EventKind.RADIAL_TURNING_POINT,
+                    "pericenter" if s_min else "apocenter",
                 )
-            t = float(sol.t[-1])
-            if sol.status == 1:
-                # hand over through the ambient representation
-                y6 = sol.y[:, -1]
-                st = PhaseState(ChartPoint(chart, y6[0], y6[1], y6[2]), y6[3], y6[4], y6[5])
-                y = _y8_from_phase(momentum_lift(st, params))
-                start = y6
-                repr_kind = "ambient"
-        else:  # ambient stretch
-            def ev_cross(tt, yy):
-                return yy[0] * yy[0] - R2
-
-            def ev_turn_amb(tt, yy):
-                return yy[0] * yy[4]
-
-            evs = [ev_cross, ev_turn_amb] if track_turns else [ev_cross]
-            if hybrid:
-
-                def ev_exit(tt, yy):
-                    return (abs(yy[0]) - R) ** 2 - band * band
-
-                ev_exit.terminal = True
-                ev_exit.direction = 1.0
-                evs.append(ev_exit)
-            sol = solve_stretch(
-                rhs_amb, (t, t1), y, evs, project=project, dt_proj=dt_proj, **opts
             )
-            if sol.status < 0:
-                raise IntegrationError(f"ambient integration failed: {sol.message}")
-            for t_i, y_i in zip(sol.t[1:], sol.y.T[1:]):
-                raw_samples.append((t_i, "ambient", None, y_i))
-            pieces.append(_Piece("ambient", None, sol.sol, t, sol.t[-1]))
-            for t_ev in sol.t_events[0]:
-                yev = sol.sol(float(t_ev))
-                side = "outer->inner" if yev[0] * yev[4] > 0.0 else "inner->outer"
-                # zdot0 = -p0: z0^2 decreasing when z0*p0 > 0
-                events.append(Event(float(t_ev), EventKind.CHART_CROSSING, side))
-            turn_times = sol.t_events[1] if track_turns else ()
-            for t_ev in turn_times:
-                if t_ev <= t + 1e-12:
-                    continue
-                yev = sol.sol(float(t_ev))
-                if abs(yev[0]) <= 1e-9 * R:
-                    continue  # z0 = 0 root of z0*p0, not a radial turning
-                d_ev = rhs_amb(float(t_ev), yev)
-                # sdotdot = -2 z0 pdot0 / R^2 at p0 = 0
-                s_min = yev[0] * d_ev[4] < 0.0
-                events.append(
-                    Event(
-                        float(t_ev),
-                        EventKind.RADIAL_TURNING_POINT,
-                        "pericenter" if s_min else "apocenter",
-                    )
+    else:
+        chart = None
+        rhs = _ambient_rhs(params, mode)
+        # re-project onto the shell about once per dynamical time; otherwise
+        # the quadratic-form drift grows secularly with the span
+        rate = params.omega + math.sqrt(2.0 * abs(h0val)) / R
+        dt_proj = min(t1 - t0, 1.0 / max(rate, 1e-6))
+
+        def ev_cross(tt, yy):
+            return yy[0] * yy[0] - R2
+
+        def ev_turn_amb(tt, yy):
+            return yy[0] * yy[4]
+
+        sol = solve_stretch(
+            rhs, (t0, t1), y80, [ev_cross, ev_turn_amb] if track_turns else [ev_cross],
+            project=lambda y8: _project_constraint(y8, R), dt_proj=dt_proj, **opts
+        )
+        if sol.status < 0:
+            raise IntegrationError(f"ambient integration failed: {sol.message}")
+        for t_ev in sol.t_events[0]:
+            yev = sol.sol(float(t_ev))
+            side = "outer->inner" if yev[0] * yev[4] > 0.0 else "inner->outer"
+            # zdot0 = -p0: z0^2 decreasing when z0*p0 > 0
+            events.append(Event(float(t_ev), EventKind.CHART_CROSSING, side))
+        for t_ev in sol.t_events[1] if track_turns else ():
+            if t_ev <= t0 + 1e-12:
+                continue
+            yev = sol.sol(float(t_ev))
+            if abs(yev[0]) <= 1e-9 * R:
+                continue  # z0 = 0 root of z0*p0, not a radial turning
+            # sdotdot = -2 z0 pdot0 / R^2 at p0 = 0
+            s_min = yev[0] * rhs(float(t_ev), yev)[4] < 0.0
+            events.append(
+                Event(
+                    float(t_ev),
+                    EventKind.RADIAL_TURNING_POINT,
+                    "pericenter" if s_min else "apocenter",
                 )
-            t = float(sol.t[-1])
-            y = project(sol.y[:, -1])
-            if sol.status == 1:
-                ph = _phase_from_y8(y)
-                chart = chart_select(ph.z, params)
-                st = momentum_project(ph, chart, params)
-                y = start = np.array(
-                    [st.point.q1, st.point.q2, st.point.phi, st.p1, st.p2, st.pphi]
-                )
-                repr_kind = "chart"
+            )
 
     # ---- assemble samples -------------------------------------------------
     samples = []
-    for t_i, kind, chart_i, yvec in raw_samples:
-        if kind == "chart":
+    for t_i, yvec in zip(sol.t, sol.y.T):
+        if chart is not None:
             state = PhaseState(
-                ChartPoint(chart_i, yvec[0], yvec[1], yvec[2]), yvec[3], yvec[4], yvec[5]
+                ChartPoint(chart, yvec[0], yvec[1], yvec[2]), yvec[3], yvec[4], yvec[5]
             )
             ph = momentum_lift(state, params)
             y8 = _y8_from_phase(ph)
@@ -781,21 +662,19 @@ def integrate(
             y8 = yvec
         quad = y8[0] ** 2 + y8[1] ** 2 - y8[2] ** 2 - y8[3] ** 2
         drift = abs(quad - R2)
-        max_drift = max(max_drift, drift)
         if drift > CONSTRAINT_ABORT * R2:
             raise IntegrationError(
                 f"constraint drift {drift:.3e} beyond {CONSTRAINT_ABORT:.0e}*R^2 at t={t_i}"
             )
-        if kind == "ambient":
+        if chart is None:
             y8 = _project_constraint(y8, R)
             ph = _phase_from_y8(y8)
-            chart_i = chart_select(ph.z, params)
-            state = momentum_project(ph, chart_i, params)
+            state = momentum_project(ph, chart_select(ph.z, params), params)
         inv = evaluate_invariants(ph, params, mode.value)
         samples.append(Sample(float(t_i), state, ph, inv))
 
     # ---- period-closure pass ---------------------------------------------
-    traj = Trajectory(tuple(samples), tuple(events), params, mode, tuple(pieces))
+    traj = Trajectory(tuple(samples), tuple(events), params, mode, sol.sol, chart)
     t_est = _period_from_events(events)
     if t_est is not None:
         x0 = _project_constraint(y80, R)
@@ -813,7 +692,8 @@ def integrate(
             tuple(sorted(events, key=lambda e: e.t)),
             params,
             mode,
-            tuple(pieces),
+            sol.sol,
+            chart,
         )
     return traj
 

@@ -892,9 +892,7 @@ def _fig9(out_dir: str, params: ModelParams) -> dict:
             p1 = -math.sqrt(2.0 * R * R * (e - 0.5 * w2r2 * th2))
             window = 2.0 * time_of_flight(0.0, r0, e, 0.0, params)
         st = PhaseState(ChartPoint(ChartId.OUTER_PLUS, r0, 0.0, 0.0), p1, 1.0, 1.0)
-        traj = integrate(
-            st, params, IntegrationConfig(t_span=(0.0, window)), method="ambient"
-        )
+        traj = integrate(st, params, IntegrationConfig(t_span=(0.0, window)))
         ts = np.linspace(0.0, window, N_ORBIT_SAMPLES)
         rows = []
         for t in ts:

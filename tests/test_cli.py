@@ -134,9 +134,20 @@ def test_load_config_bad_integration():
     with pytest.raises(ConfigError):
         load_config(_base_config(integration={"t_span": [0.0]}))
     with pytest.raises(ConfigError):
-        load_config(_base_config(integration={"method": "verlet"}))
-    with pytest.raises(ConfigError):
         load_config(_base_config(integration={"steps": 100}))
+    # the representation is chosen from the initial state; the old knobs fail
+    for key, value in (("method", "ambient"), ("method", "verlet"), ("boundary_band", 1e-6)):
+        with pytest.raises(ConfigError, match=f"integration.{key} .*initial state"):
+            load_config(_base_config(integration={"t_span": [0.0, 8.0], key: value}))
+
+
+def test_simulate_rejects_removed_integration_keys(tmp_path, capsys):
+    for key, value in (("method", "chart"), ("boundary_band", 1e-6)):
+        cfg = _base_config(integration={"t_span": [0.0, 8.0], key: value})
+        cfg_path = _write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+        assert f"integration.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------

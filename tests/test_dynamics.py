@@ -16,9 +16,9 @@ from hyposc.dynamics import (
     measure_period,
     potential,
 )
-from hyposc.geometry import ChartId, ChartPoint, ModelParams, PhaseState
+from hyposc.geometry import ChartId, ChartPoint, ModelParams, PhaseState, momentum_lift
 from hyposc.invariants import l_squared
-from hyposc.orbits import canonical_state, classify, radial_solution
+from hyposc.orbits import canonical_state, classify, eff_minimum, radial_solution
 
 
 # ---------------------------------------------------------------------------
@@ -130,25 +130,22 @@ def test_integration_config_validation():
         IntegrationConfig(t_span=(1.0, 1.0))
 
 
-def test_integrate_rejects_bad_method(params):
-    st = canonical_state(0.4, 0.25, params)
-    with pytest.raises(ValueError):
-        integrate(st, params, IntegrationConfig(), Mode.OSCILLATOR, method="leapfrog")
+def _count_solver_runs(monkeypatch):
+    runs = []
+    real = dyn.solve_stretch
+
+    def counting(*args, **kwargs):
+        runs.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "solve_stretch", counting)
+    return runs
 
 
 def test_integrate_calls_solver_set_on_module(params, monkeypatch):
     # integrate must call whatever the module attribute holds, so that a
     # wrapper set on it sees every solver call
-    import hyposc.dynamics as dyn
-
-    calls = []
-    real = dyn.solve_stretch
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(dyn, "solve_stretch", counting)
+    calls = _count_solver_runs(monkeypatch)
     integrate(canonical_state(0.4, 0.25, params), params, IntegrationConfig(t_span=(0.0, 1.0)))
     assert calls
 
@@ -206,18 +203,22 @@ def test_unbounded_has_no_period(params):
 
 
 def test_chart_and_ambient_methods_agree(params):
+    # case A runs on the chart; the same orbit stepped in ambient form with
+    # in-place projection must land on the same phase point
     st = canonical_state(0.4, 0.25, params)
     cfg = IntegrationConfig(t_span=(0.0, 10.0))
-    tc = integrate(st, params, cfg, method="chart")
-    ta = integrate(st, params, cfg, method="ambient")
-    za = tc.ambient_at(10.0)
-    zb = ta.ambient_at(10.0)
-    npt.assert_allclose(
-        [za.z.z0, za.z.z1, za.z.z2, za.z.z3], [zb.z.z0, zb.z.z1, zb.z.z2, zb.z.z3], atol=1e-7
-    )
-    npt.assert_allclose(
-        [za.p0, za.p1, za.p2, za.p3], [zb.p0, zb.p1, zb.p2, zb.p3], atol=1e-7
-    )
+    traj = integrate(st, params, cfg)
+    assert traj.chart is ChartId.OUTER_PLUS
+    y80 = dyn._y8_from_phase(momentum_lift(st, params))
+    ref = dyn.solve_stretch(dyn._ambient_rhs(params, Mode.OSCILLATOR), cfg.t_span, y80,
+                            rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                            project=lambda y: dyn._project_constraint(y, params.radius),
+                            dt_proj=1.0)
+    assert ref.status == 0 and ref.t_proj
+    za = traj.ambient_at(10.0)
+    zb = dyn._project_constraint(ref.sol(10.0), params.radius)
+    npt.assert_allclose([za.z.z0, za.z.z1, za.z.z2, za.z.z3], zb[:4], atol=1e-7)
+    npt.assert_allclose([za.p0, za.p1, za.p2, za.p3], zb[4:], atol=1e-7)
 
 
 def test_chart_turning_events_match_solve_ivp(case_a, params):
@@ -250,7 +251,12 @@ def test_solve_stretch_projects_in_place_and_reports_events():
     def crossing(t, y):  # each projected state e^t / 2^n stays above 1.2
         return y[0] - 1.2
 
-    res = dyn.solve_stretch(lambda t, y: y, (0.0, 3.0), np.array([1.0]), [at_start, crossing],
+    def falling(t, y):  # the same rising crossing, filtered out by direction
+        return y[0] - 1.2
+
+    falling.direction = -1.0
+    res = dyn.solve_stretch(lambda t, y: y, (0.0, 3.0), np.array([1.0]),
+                            [at_start, crossing, falling],
                             rtol=1e-12, atol=1e-14, project=lambda y: 0.5 * y, dt_proj=1.0)
     assert res.status == 0 and len(res.t_proj) == 2
     # no restart: the solver keeps its step size across a projection
@@ -261,17 +267,7 @@ def test_solve_stretch_projects_in_place_and_reports_events():
     npt.assert_allclose(res.y[0, -1], math.exp(3.0) / 4.0, rtol=1e-10)
     assert list(res.t_events[0]) == [0.0]  # a zero at the start counts
     npt.assert_allclose(res.t_events[1], [math.log(1.2)], rtol=1e-10)
-
-    def stop(t, y):
-        return y[0] - 2.0
-
-    stop.terminal = True
-    stop.direction = 1.0
-    res = dyn.solve_stretch(lambda t, y: y, (0.0, 3.0), np.array([1.0]), [stop],
-                            rtol=1e-12, atol=1e-14)
-    assert res.status == 1
-    assert res.t[-1] == res.t_events[0][0]
-    npt.assert_allclose([res.t[-1], res.y[0, -1]], [math.log(2.0), 2.0], rtol=1e-12)
+    assert res.t_events[2].size == 0
 
 
 def test_ambient_projection_cadence_and_drift(neg_l2_traj, params, monkeypatch):
@@ -301,25 +297,35 @@ def test_ambient_projection_cadence_and_drift(neg_l2_traj, params, monkeypatch):
         assert np.max(drift) <= 1e-9 * R2
 
 
-def test_chart_method_hands_over_through_the_band(params):
-    # the hybrid stops each stretch on a directed terminal event (band entry
-    # on the chart, band exit in ambient form) and alternates representations
-    period = 2.0 * math.pi / math.sqrt(2.0)
-    st = canonical_state(0.25, -1.0, params)
-    traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 2.0 * period)), method="chart")
-    kinds = [p.kind for p in traj.pieces]
-    assert kinds[:4] == ["chart", "ambient", "chart", "ambient"]
-    assert all(a != b for a, b in zip(kinds, kinds[1:]))
-    crossings = [e for e in traj.events if e.kind == EventKind.CHART_CROSSING]
-    assert [e.detail for e in crossings[:2]] == ["outer->inner", "inner->outer"]
-    npt.assert_allclose([e.t for e in crossings[:2]], [1.686890373, 2.755992566], atol=1e-5)
+def test_representation_chosen_from_initial_state(params, case_a, neg_l2_traj, monkeypatch):
+    # an outer state whose L^2 is tiny against its energy can come near the
+    # cone, so it runs in ambient form; case A stays clear of it on the chart.
+    # Either way the whole span is one solver run.
+    runs = _count_solver_runs(monkeypatch)
+    st = PhaseState(ChartPoint(ChartId.OUTER_PLUS, 0.6, 0.0, 0.0), -0.3, 0.0, 1e-4)
+    traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 20.0)))
+    assert traj.chart is None and len(runs) == 1
+    energies = [s.invariants.hamiltonian for s in traj.samples]
+    assert max(energies) - min(energies) < 1e-9
+    period = classify(hamiltonian(st, params), l_squared(st), params).period
+    npt.assert_allclose(measure_period(traj), period, atol=1e-6)
+
+    for ref, chart in ((case_a, ChartId.OUTER_PLUS), (neg_l2_traj, None)):
+        runs.clear()
+        traj = integrate(ref["state"], params, IntegrationConfig(t_span=(0.0, ref["period"])))
+        assert traj.chart is chart and len(runs) == 1
 
 
 def test_ambient_circular_orbit_has_no_turning_events(params):
-    st = canonical_state(0.375, 0.25, params)
-    traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 20.0)), method="ambient")
-    assert not [e for e in traj.events if e.kind == EventKind.RADIAL_TURNING_POINT]
-    npt.assert_allclose(measure_period(traj), 2.0 * math.pi, atol=1e-6)
+    # L^2 this small puts the circle within the cone's reach of the chart rule
+    l_sq = 1e-10
+    e = eff_minimum(l_sq, params)[1]
+    st = canonical_state(e, l_sq, params)
+    traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 20.0)))
+    assert traj.chart is None
+    assert not [ev for ev in traj.events if ev.kind == EventKind.RADIAL_TURNING_POINT]
+    npt.assert_allclose(measure_period(traj), classify(e, l_sq, params).period, atol=1e-6)
+    npt.assert_allclose(measure_period(traj), 3.14162407, atol=1e-8)
 
 
 def test_zero_l2_span_ending_at_the_pole(params):
