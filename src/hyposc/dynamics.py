@@ -20,16 +20,19 @@ on the constrained ambient system
 
 throughout (z . grad V = 0, so the multiplier carries no potential term).
 
-A run is one call of `solve_stretch`: a single DOP853 solver object stepped
-over the span, with solve_ivp's event rules and one OdeSolution built from
-the per-step interpolants.  In ambient form solve_stretch re-projects the
-state onto the shell z.z = R^2 in place about once per dynamical time
+A run is one call of `solve_stretch`: DOP853 stepped over the span, with
+solve_ivp's event rules and one DenseSolution over the per-step
+interpolants.  The stepper and brentq are ports of scipy's (below), so
+the package needs numpy only; each step's dense output is built the first
+time something evaluates it.  In ambient form solve_stretch re-projects
+the state onto the shell z.z = R^2 in place about once per dynamical time
 (dt_proj) and keeps stepping: the step size and controller state carry
 over, so there is no restart (the projection method of Hairer-Lubich-Wanner,
-Geometric Numerical Integration, IV.4).  Samples are taken at the solver's accepted
-steps, before any projection; events (chart crossings, radial turning
-points, period closures) are root-polished by brentq on the step's dense
-output to ~1e-12.
+Geometric Numerical Integration, IV.4).  An ambient run is aborted at the
+first accepted step whose |z.z - R^2| exceeds CONSTRAINT_ABORT R^2.
+Samples are taken at the accepted steps, before any projection; events
+(chart crossings, radial turning points, period closures) are
+root-polished by brentq on the step's dense output to ~1e-12.
 
 The time-T map of a bounded orbit is the central inversion
 (z0, zvec, p0, pvec) -> (z0, -zvec, p0, -pvec); a PeriodClosure event is
@@ -38,10 +41,12 @@ the initial point or its inversion image, so closures appear at every
 multiple of the radial period (full identity at even multiples).
 """
 
+import bisect
 import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -67,10 +72,9 @@ from .invariants import (
 
 
 def __getattr__(name):
-    # scipy.integrate is most of the package's import time, so it is loaded on
-    # first use only.  integrate() steps its own solver (solve_stretch) and no
-    # longer calls solve_ivp; the name stays reachable here for tools that
-    # look it up on this module
+    # integrate() steps its own solver (solve_stretch) and never calls
+    # solve_ivp; the name stays reachable here, loading scipy on first use,
+    # for tools that look it up on this module
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
 
@@ -318,11 +322,21 @@ def _ambient_rhs(params: ModelParams, mode: Mode):
 # ---------------------------------------------------------------------------
 
 
-def _project_constraint(y8: np.ndarray, radius: float) -> np.ndarray:
-    """Rescale z onto the shell and remove the normal momentum component."""
+def _project_constraint(y8: np.ndarray, radius: float, t=None) -> np.ndarray:
+    """Rescale z onto the shell and remove the normal momentum component.
+
+    Raises IntegrationError when z.z is not positive and finite, so that no
+    rescaling reaches the shell z.z = R^2; t, when given, is named.
+    """
     z = y8[:4].copy()
     p = y8[4:].copy()
     quad = z[0] * z[0] + z[1] * z[1] - z[2] * z[2] - z[3] * z[3]
+    if not 0.0 < quad < math.inf:
+        where = "" if t is None else f" at t={float(t)}"
+        raise IntegrationError(
+            f"cannot project onto the shell: z.z = {quad:.3e}, "
+            f"|z|/R = {float(np.linalg.norm(z)) / radius:.3e}{where}"
+        )
     z *= radius / math.sqrt(quad)
     gz = np.array([-z[0], -z[1], z[2], z[3]])
     p += (float(z @ p) / radius**2) * gz
@@ -355,9 +369,360 @@ def phase_distance(a: np.ndarray, b: np.ndarray, radius: float) -> float:
     return max(float(dz), float(dp))
 
 
-def _shape_s(y8: np.ndarray, radius: float) -> float:
-    """Signed radial shape s = (z0^2 - R^2)/R^2 (= sinh^2 r or -sin^2 chi)."""
-    return (y8[0] * y8[0] - radius**2) / radius**2
+def _check_drift(t, y8: np.ndarray, radius: float):
+    """Raise IntegrationError when |z.z - R^2| exceeds CONSTRAINT_ABORT R^2."""
+    R2 = radius * radius
+    quad = y8[0] ** 2 + y8[1] ** 2 - y8[2] ** 2 - y8[3] ** 2
+    drift = abs(quad - R2)
+    if drift > CONSTRAINT_ABORT * R2:
+        raise IntegrationError(
+            f"constraint drift {drift:.3e} beyond {CONSTRAINT_ABORT:.0e}*R^2 at t={float(t)}"
+        )
+
+
+# ---------------------------------------------------------------------------
+# DOP853 and brentq
+# ---------------------------------------------------------------------------
+#
+# The Dormand-Prince 8(5,3) pair with its 7th-order dense output (Hairer,
+# Norsett and Wanner, Solving Ordinary Differential Equations I, II.4-II.6)
+# and Brent's root finder (Brent, Algorithms for Minimization without
+# Derivatives, 1973), ported from scipy 1.17.1: integrate/_ivp/rk.py,
+# common.py and dop853_coefficients.py, and optimize/Zeros/brentq.c.  The
+# port makes the same numpy calls in the same order, so its steps, samples
+# and roots are bit-identical to scipy's DOP853 and brentq.  Unlike scipy it
+# builds a step's three extra dense stages only when something evaluates
+# that step's interpolant.
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+
+_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0, 0.1,
+    0.2, 0.777777777777777777777777777778
+])
+_A = np.zeros((16, 16))
+_A[1, :1] = [5.26001519587677318785587544488e-2]
+_A[2, :2] = [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]
+_A[3, :3] = [2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2]
+_A[4, :4] = [
+    2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+    9.24834003261792003115737966543e-1
+]
+_A[5, :5] = [
+    3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+    1.25467687566822425016691814123e-1
+]
+_A[6, :6] = [
+    3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+    6.02165389804559606850219397283e-2, -1.7578125e-2
+]
+_A[7, :7] = [
+    3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+    1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+    8.27378916381402288758473766002e-3
+]
+_A[8, :8] = [
+    6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+    -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+    2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1
+]
+_A[9, :9] = [
+    4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+    -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+    1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+    -2.03312017085086261358222928593e-2
+]
+_A[10, :10] = [
+    -9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+    1.09143734899672957818500254654, -8.14978701074692612513997267357,
+    -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+    2.49360555267965238987089396762, -3.0467644718982195003823669022
+]
+_A[11, :11] = [
+    2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+    -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+    2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+    -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+    6.43392746015763530355970484046e-1
+]
+_A[12, :12] = [
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2
+]
+_A[13, :13] = [
+    5.61675022830479523392909219681e-2, 0.0, 0.0, 0.0, 0.0, 0.0,
+    2.53500210216624811088794765333e-1, -2.46239037470802489917441475441e-1,
+    -1.24191423263816360469010140626e-1, 1.5329179827876569731206322685e-1,
+    8.20105229563468988491666602057e-3, 7.56789766054569976138603589584e-3, -8.298e-3
+]
+_A[14, :14] = [
+    3.18346481635021405060768473261e-2, 0.0, 0.0, 0.0, 0.0,
+    2.83009096723667755288322961402e-2, 5.35419883074385676223797384372e-2,
+    -5.49237485713909884646569340306e-2, 0.0, 0.0, -1.08347328697249322858509316994e-4,
+    3.82571090835658412954920192323e-4, -3.40465008687404560802977114492e-4,
+    1.41312443674632500278074618366e-1
+]
+_A[15, :15] = [
+    -4.28896301583791923408573538692e-1, 0.0, 0.0, 0.0, 0.0,
+    -4.69762141536116384314449447206, 7.68342119606259904184240953878,
+    4.06898981839711007970213554331, 3.56727187455281109270669543021e-1, 0.0, 0.0, 0.0,
+    -1.39902416515901462129418009734e-3, 2.9475147891527723389556272149,
+    -9.15095847217987001081870187138
+]
+_D = np.zeros((4, 16))  # the first three dense rows come from the step ends
+_D[0] = [
+    -0.84289382761090128651353491142e+1, 0.0, 0.0, 0.0, 0.0,
+    0.56671495351937776962531783590, -0.30689499459498916912797304727e+1,
+    0.23846676565120698287728149680e+1, 0.21170345824450282767155149946e+1,
+    -0.87139158377797299206789907490, 0.22404374302607882758541771650e+1,
+    0.63157877876946881815570249290, -0.88990336451333310820698117400e-1,
+    0.18148505520854727256656404962e+2, -0.91946323924783554000451984436e+1,
+    -0.44360363875948939664310572000e+1
+]
+_D[1] = [
+    0.10427508642579134603413151009e+2, 0.0, 0.0, 0.0, 0.0,
+    0.24228349177525818288430175319e+3, 0.16520045171727028198505394887e+3,
+    -0.37454675472269020279518312152e+3, -0.22113666853125306036270938578e+2,
+    0.77334326684722638389603898808e+1, -0.30674084731089398182061213626e+2,
+    -0.93321305264302278729567221706e+1, 0.15697238121770843886131091075e+2,
+    -0.31139403219565177677282850411e+2, -0.93529243588444783865713862664e+1,
+    0.35816841486394083752465898540e+2
+]
+_D[2] = [
+    0.19985053242002433820987653617e+2, 0.0, 0.0, 0.0, 0.0,
+    -0.38703730874935176555105901742e+3, -0.18917813819516756882830838328e+3,
+    0.52780815920542364900561016686e+3, -0.11573902539959630126141871134e+2,
+    0.68812326946963000169666922661e+1, -0.10006050966910838403183860980e+1,
+    0.77771377980534432092869265740, -0.27782057523535084065932004339e+1,
+    -0.60196695231264120758267380846e+2, 0.84320405506677161018159903784e+2,
+    0.11992291136182789328035130030e+2
+]
+_D[3] = [
+    -0.25693933462703749003312586129e+2, 0.0, 0.0, 0.0, 0.0,
+    -0.15418974869023643374053993627e+3, -0.23152937917604549567536039109e+3,
+    0.35763911791061412378285349910e+3, 0.93405324183624310003907691704e+2,
+    -0.37458323136451633156875139351e+2, 0.10409964950896230045147246184e+3,
+    0.29840293426660503123344363579e+2, -0.43533456590011143754432175058e+2,
+    0.96324553959188282948394950600e+2, -0.39177261675615439165231486172e+2,
+    -0.14972683625798562581422125276e+3
+]
+_B = _A[12, :12]
+_E3 = np.zeros(13)
+_E3[:-1] = _B.copy()
+_E3[0] -= 0.244094488188976377952755905512
+_E3[8] -= 0.733846688281611857341361741547
+_E3[11] -= 0.220588235294117647058823529412e-1
+_E5 = np.zeros(13)
+_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
+]
+# (row of A, node) of the stages after the first: 11 for a step, 3 for its
+# dense output
+_STEP_STAGES = [(_A[s, :s], _C[s]) for s in range(1, 12)]
+_DENSE_STAGES = [(_A[s, :s], _C[s]) for s in range(13, 16)]
+
+SAFETY = 0.9
+MIN_FACTOR = 0.2  # bounds on the step-size change per step
+MAX_FACTOR = 10
+_ERROR_EXPONENT = -1 / 8  # -1/(q + 1) for the 7th-order error estimator
+_EPS = np.finfo(float).eps
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol):
+    """First step size: Hairer-Norsett-Wanner II.4 (scipy's select_initial_step)."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * f0
+    f1 = fun(t0 + h0, y1)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval_length, max_step)
+
+
+def _error_norm(K, h, scale):
+    """The two-norm of the 5th- and 3rd-order error estimates, blended."""
+    err5 = np.dot(K.T, _E5) / scale
+    err3 = np.dot(K.T, _E3) / scale
+    err5_norm_2 = np.linalg.norm(err5) ** 2
+    err3_norm_2 = np.linalg.norm(err3) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+
+class _Rhs:
+    """fun(t, y) as a float array, with the call count scipy reports as nfev."""
+
+    def __init__(self, fun):
+        self.fun = fun
+        self.nfev = 0
+
+    def __call__(self, t, y):
+        self.nfev += 1
+        return np.asarray(self.fun(t, y), dtype=float)
+
+
+class _DenseStep:
+    """The interpolant of one accepted step, built on its first evaluation.
+
+    K holds the step's 13 stages (the last is f at the step end) in the first
+    13 of 16 rows; the first call adds the three extra stages and the
+    7-term polynomial of scipy's Dop853DenseOutput.
+    """
+
+    __slots__ = ("fun", "t_old", "t", "h", "y_old", "y", "K", "F")
+
+    def __init__(self, fun, t_old, t, y_old, y, K):
+        self.fun, self.t_old, self.t, self.y_old, self.y, self.K = fun, t_old, t, y_old, y, K
+        self.h = t - t_old
+        self.F = None
+
+    def _build(self):
+        K, h, y_old = self.K, self.h, self.y_old
+        for s, (a, c) in enumerate(_DENSE_STAGES, start=13):
+            dy = np.dot(K[:s].T, a) * h
+            K[s] = self.fun(self.t_old + c * h, y_old + dy)
+        F = np.empty((7, y_old.size))
+        f_old = K[0]
+        delta_y = self.y - y_old
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (K[12] + f_old)
+        F[3:] = h * np.dot(_D, K)
+        self.F = F
+
+    def __call__(self, t):
+        if self.F is None:
+            self._build()
+        x = (t - self.t_old) / self.h
+        y = np.zeros_like(self.y_old)
+        for i, f in enumerate(reversed(self.F)):
+            y += f
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += self.y_old
+        return y
+
+
+class DenseSolution:
+    """Piecewise dense solution over consecutive steps (scipy's OdeSolution).
+
+    A time on a step boundary is evaluated on the earlier step; times outside
+    [t_min, t_max] use the first or last step.
+    """
+
+    def __init__(self, ts, steps):
+        self.ts = list(ts)
+        self.steps = steps
+        self.t_min = ts[0]
+        self.t_max = ts[-1]
+
+    def __call__(self, t):
+        segment = min(max(bisect.bisect_left(self.ts, t) - 1, 0), len(self.steps) - 1)
+        return self.steps[segment](t)
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
+    """Root of f in [a, b], where f(a) and f(b) differ in sign (Brent 1973)."""
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = _eval_not_nan(f, xpre), _eval_not_nan(f, xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _eval_not_nan(f, xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _eval_not_nan(f, x):
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +731,11 @@ def _shape_s(y8: np.ndarray, radius: float) -> float:
 
 
 class Stretch(NamedTuple):
-    """One solver run: the fields of a solve_ivp result that integrate reads."""
+    """One solver run: the samples, dense solution and event roots integrate reads."""
 
     t: np.ndarray  # stretch start, then each accepted step end
     y: np.ndarray  # (n, t.size) states at those times, before any projection
-    sol: object  # scipy OdeSolution over the stretch
+    sol: DenseSolution  # dense solution over the stretch
     t_events: list  # root times, one array per event function
     nfev: int
     status: int  # 0 reached the end, -1 solver failure
@@ -379,68 +744,108 @@ class Stretch(NamedTuple):
 
 
 def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, max_step=math.inf,
-                  project=None, dt_proj=math.inf) -> Stretch:
-    """Step one DOP853 solver over t_span, detecting events as solve_ivp does.
+                  project=None, dt_proj=math.inf, check=None) -> Stretch:
+    """Step DOP853 over t_span (t1 > t0), detecting events as solve_ivp does.
 
     An event function counts on a step when g_old <= 0 <= g_new or g_old >= 0
     >= g_new, filtered by its `direction` attribute; its root is found by
     brentq on the step's dense output with xtol = rtol = 4 eps.
 
-    With `project`, the state is replaced by project(y) at the first step end
-    at least dt_proj after the previous projection (or the start).  The
-    first-same-as-last stage is recomputed from the projected state and the
-    step size is kept, so the solver carries on without a restart.  Recorded
-    samples and interpolants are those of the unprojected steps.
+    `check(t, y)` sees the state after each accepted step and may raise to
+    abort the run.  With `project`, the state is replaced by project(y) at
+    the first step end at least dt_proj after the previous projection (or
+    the start).  The first-same-as-last stage is recomputed from the
+    projected state and the step size is kept, so stepping carries on
+    without a restart.  Recorded samples and interpolants are those of the
+    unprojected steps.
     """
-    from scipy.integrate import DOP853, OdeSolution
-    from scipy.optimize import brentq
+    t, t_bound = float(t_span[0]), float(t_span[1])
+    if not t_bound > t:
+        raise ValueError("solve_stretch integrates forward: t_span needs t1 > t0")
+    y = np.asarray(y0).astype(float, copy=False)
+    if not np.isfinite(y).all():
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    fun = _Rhs(fun)
+    if rtol < 100 * _EPS:
+        warnings.warn(f"rtol = {rtol:g} is below 100 eps; using {100 * _EPS:g}", stacklevel=2)
+        rtol = 100 * _EPS
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, t_bound, max_step, f, rtol, atol)
 
-    t0, t_bound = float(t_span[0]), float(t_span[1])
-    solver = DOP853(fun, t0, y0, t_bound, rtol=rtol, atol=atol, max_step=max_step)
-    if not (hasattr(solver, "y") and hasattr(solver, "f")):
-        raise RuntimeError("DOP853 no longer exposes the state y and stage f")
-    tol = 4.0 * np.finfo(float).eps
+    tol = 4.0 * _EPS
     direction = [getattr(ev, "direction", 0.0) for ev in events]
-    g = [ev(t0, y0) for ev in events]
+    g = [ev(t, y) for ev in events]
     t_events = [[] for _ in events]
-    ts, ys, interpolants, t_proj = [t0], [solver.y], [], []
-    t_last_proj = t0
+    ts, ys, steps, t_proj = [t], [y], [], []
+    t_last_proj = t
     status = None
-    message = None
+    message = ""
     while status is None:
-        message = solver.step()
-        if solver.status == "failed":
-            status = -1
+        # one step: shrink until the error estimate is below 1
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = min(max(h_abs, min_step), max_step)
+        K = np.empty((16, y.size))
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                status, message = -1, TOO_SMALL_STEP
+                break
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s, (a, c) in enumerate(_STEP_STAGES, start=1):
+                dy = np.dot(K[:s].T, a) * h
+                K[s] = fun(t + c * h, y + dy)
+            y_new = y + h * np.dot(K[:12].T, _B)
+            f_new = fun(t + h, y_new)
+            K[12] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _error_norm(K[:13], h, scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
+            step_rejected = True
+        if status is not None:
             break
-        if solver.status == "finished":
+        if t_new - t_bound >= 0:
             status = 0
-        t_old, t, y = solver.t_old, solver.t, solver.y
-        dense = solver.dense_output()
-        interpolants.append(dense)
+        step = _DenseStep(fun, t, t_new, y, y_new, K)
+        t, y, f = t_new, y_new, f_new
+        if check is not None:
+            check(t, y)
+        steps.append(step)
         g_new = [ev(t, y) for ev in events]
         for i, (a, b, d) in enumerate(zip(g, g_new, direction)):
             if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b):
                 t_events[i].append(
-                    brentq(lambda s, ev=events[i]: ev(s, dense(s)), t_old, t,
+                    brentq(lambda s, ev=events[i]: ev(s, step(s)), step.t_old, t,
                            xtol=tol, rtol=tol)
                 )
         g = g_new
         ts.append(t)
         ys.append(y)
         if project is not None and status is None and t - t_last_proj >= dt_proj:
-            solver.y = project(solver.y)
-            solver.f = solver.fun(t, solver.y)
+            y = project(y)
+            f = fun(t, y)
             t_proj.append(t)
             t_last_proj = t
-            g = [ev(t, solver.y) for ev in events]
+            g = [ev(t, y) for ev in events]
     return Stretch(
         np.array(ts),
         np.array(ys).T,
-        OdeSolution(ts, interpolants),
+        DenseSolution(ts, steps),
         [np.asarray(te) for te in t_events],
-        solver.nfev,
+        fun.nfev,
         status,
-        message or "",
+        message,
         tuple(t_proj),
     )
 
@@ -485,7 +890,7 @@ class Trajectory:
     events: tuple
     params: ModelParams
     mode: Mode
-    sol: object = field(repr=False, compare=False, default=None)  # OdeSolution of the run
+    sol: object = field(repr=False, compare=False, default=None)  # DenseSolution of the run
     chart: Optional[ChartId] = None  # chart the run was integrated on; None in ambient form
 
     @property
@@ -495,7 +900,7 @@ class Trajectory:
     def ambient_at(self, t: float) -> EmbeddingPhase:
         """Evaluate the dense solution at any time inside the span."""
         y8 = self._y8_at(t)
-        return _phase_from_y8(_project_constraint(y8, self.params.radius))
+        return _phase_from_y8(_project_constraint(y8, self.params.radius, t))
 
     def _y8_at(self, t: float) -> np.ndarray:
         if not (self.sol.t_min - 1e-12 <= t <= self.sol.t_max + 1e-12):
@@ -505,13 +910,6 @@ class Trajectory:
             return y
         state = PhaseState(ChartPoint(self.chart, y[0], y[1], y[2]), y[3], y[4], y[5])
         return _y8_from_phase(momentum_lift(state, self.params))
-
-    def shape_series(self, ts) -> np.ndarray:
-        """s(t) = sinh^2 r (outer) / -sin^2 chi (inner) on a time grid."""
-        R = self.params.radius
-        return np.array(
-            [_shape_s(_project_constraint(self._y8_at(t), R), R) for t in ts]
-        )
 
     # ---- export ----
 
@@ -622,9 +1020,12 @@ def integrate(
         def ev_turn_amb(tt, yy):
             return yy[0] * yy[4]
 
+        # the drift is checked at each step: an escaping orbit fails as soon
+        # as it leaves the shell, not after the whole span
         sol = solve_stretch(
             rhs, (t0, t1), y80, [ev_cross, ev_turn_amb] if track_turns else [ev_cross],
-            project=lambda y8: _project_constraint(y8, R), dt_proj=dt_proj, **opts
+            project=lambda y8: _project_constraint(y8, R), dt_proj=dt_proj,
+            check=lambda t, y8: _check_drift(t, y8, R), **opts
         )
         if sol.status < 0:
             raise IntegrationError(f"ambient integration failed: {sol.message}")
@@ -660,14 +1061,9 @@ def integrate(
             y8 = _y8_from_phase(ph)
         else:
             y8 = yvec
-        quad = y8[0] ** 2 + y8[1] ** 2 - y8[2] ** 2 - y8[3] ** 2
-        drift = abs(quad - R2)
-        if drift > CONSTRAINT_ABORT * R2:
-            raise IntegrationError(
-                f"constraint drift {drift:.3e} beyond {CONSTRAINT_ABORT:.0e}*R^2 at t={t_i}"
-            )
+        _check_drift(t_i, y8, R)
         if chart is None:
-            y8 = _project_constraint(y8, R)
+            y8 = _project_constraint(y8, R, t_i)
             ph = _phase_from_y8(y8)
             state = momentum_project(ph, chart_select(ph.z, params), params)
         inv = evaluate_invariants(ph, params, mode.value)
@@ -677,12 +1073,12 @@ def integrate(
     traj = Trajectory(tuple(samples), tuple(events), params, mode, sol.sol, chart)
     t_est = _period_from_events(events)
     if t_est is not None:
-        x0 = _project_constraint(y80, R)
+        x0 = _project_constraint(y80, R, t0)
         xi = central_inversion(x0)
         k = 1
         while t0 + k * t_est <= t1 + 1e-9:
             tk = min(t0 + k * t_est, t1)
-            yk = _project_constraint(traj._y8_at(tk), R)
+            yk = _project_constraint(traj._y8_at(tk), R, tk)
             d = min(phase_distance(yk, x0, R), phase_distance(yk, xi, R))
             if d < CLOSURE_TOL:
                 events.append(Event(float(tk), EventKind.PERIOD_CLOSURE, f"k={k}"))

@@ -20,7 +20,6 @@ collects the oscillator's hidden symmetry; its trace identity
 and the weighted contraction sum_i gbar_ii L_i D_ik = 0 are checked here.
 """
 
-import json
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
@@ -276,27 +275,6 @@ class IdentityReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks if c.passed is not None)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "identity": c.name,
-                    "residual": c.residual,
-                    "tol": c.tol,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-            indent=2,
-        )
-
-    def format_table(self) -> str:
-        lines = [f"{'identity':<44} {'residual':>12}  {'status'}"]
-        for c in self.checks:
-            status = "recorded" if c.passed is None else ("pass" if c.passed else "FAIL")
-            lines.append(f"{c.name:<44} {c.residual:>12.3e}  {status}")
-        return "\n".join(lines)
 
 
 # (name, tolerance relative to the state's scale); None = recorded only.

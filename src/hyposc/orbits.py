@@ -330,8 +330,15 @@ def time_of_flight(
 ) -> float:
     """Travel time between radii inside one classically allowed stretch.
 
-    Uses X = x1 + (x2 - x1) sin^2 theta, which absorbs the inverse-square-root
-    turning singularities:  t = (1/omega) int d theta / (1 - X(theta)).
+    With X = x1 + (x2 - x1) sin^2 theta the time is
+    (1/omega) int d theta / (a cos^2 theta + b sin^2 theta), a = 1 - x1,
+    b = 1 - x2, whose antiderivative F is elementary:
+
+        b > 0:  atan2(sqrt(b) sin theta, sqrt(a) cos theta) / sqrt(a b)
+        b = 0:  tan theta / a
+        b < 0:  atanh(sqrt(-b) tan theta / sqrt(a)) / sqrt(-a b)
+
+    and t = (F(theta_b) - F(theta_a)) / omega.
     """
     if r_a == r_b:
         return 0.0
@@ -349,16 +356,17 @@ def time_of_flight(
     xb = min(max(xb, x1), x2)
     tha = math.asin(math.sqrt((xa - x1) / (x2 - x1)))
     thb = math.asin(math.sqrt((xb - x1) / (x2 - x1)))
+    a, b = 1.0 - x1, 1.0 - x2
 
-    span = x2 - x1
+    def antiderivative(th):
+        if b > 0.0:
+            y, x = math.sqrt(b) * math.sin(th), math.sqrt(a) * math.cos(th)
+            return math.atan2(y, x) / math.sqrt(a * b)
+        if b == 0.0:
+            return math.tan(th) / a
+        return math.atanh(math.sqrt(-b) * math.tan(th) / math.sqrt(a)) / math.sqrt(-a * b)
 
-    def integrand(th):
-        return 1.0 / (1.0 - x1 - span * math.sin(th) ** 2)
-
-    from scipy.integrate import quad  # imported here: the rest of hyposc runs without it
-
-    val, _ = quad(integrand, tha, thb, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val / params.omega
+    return (antiderivative(thb) - antiderivative(tha)) / params.omega
 
 
 def half_period_formula(e: float, l_sq: float, params: ModelParams) -> float:

@@ -328,18 +328,33 @@ def test_identities_report_shape(params):
         assert abs(row["max_residual"] - max(r.checks[k].residual for r in loop)) <= 1e-12
 
 
-def test_cli_runs_without_scipy_integrate():
+def test_cli_runs_without_scipy_integrate(tmp_path):
+    # scipy is a test dependency only: no command the CLI runs imports it,
+    # on the chart path (case A), the ambient path (L^2 < 0) or in figures
+    chart = _write_config(tmp_path, _base_config(), "chart.json")
+    ambient = _write_config(
+        tmp_path, _base_config(initial={"analytic": {"e": 0.25, "l_sq": -1.0}}), "ambient.json")
+    commands = [
+        ["classify", "0.4", "0.25"],
+        ["simulate", "--config", str(chart), "--out", str(tmp_path / "chart")],
+        ["simulate", "--config", str(ambient), "--out", str(tmp_path / "ambient")],
+        ["figure", "all", "--out", str(tmp_path / "figures")],
+    ]
     code = (
         "import sys, hyposc, hyposc.cli\n"
-        "assert 'scipy.integrate' not in sys.modules, 'on import'\n"
-        "assert hyposc.cli.main(['classify', '0.4', '0.25']) == 0\n"
-        "assert 'scipy.integrate' not in sys.modules, 'after classify'\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not scipy_modules(), ('on import', scipy_modules())\n"
+        f"for args in {commands!r}:\n"
+        "    assert hyposc.cli.main(args) == 0, args\n"
+        "    assert not scipy_modules(), (args[0], scipy_modules())\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "figures" / "fig9_orbit_e0.8.csv").exists()
 
 
 # ---------------------------------------------------------------------------

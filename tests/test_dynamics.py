@@ -338,6 +338,44 @@ def test_zero_l2_span_ending_at_the_pole(params):
     npt.assert_allclose(measure_period(traj), period, rtol=1e-8)
 
 
+def test_ambient_drift_aborts_when_it_appears(params, monkeypatch):
+    # an escaping L^2 = 0 orbit leaves the shell at t ~ 12; the per-step
+    # check stops it there instead of after the rest of the span, with the
+    # message sample assembly gives for the same sample
+    calls = []
+    real = dyn._ambient_rhs
+
+    def counting(*args):
+        rhs = real(*args)
+
+        def counted(t, y):
+            calls.append(t)
+            # 481 calls today; without the per-step check the span takes minutes
+            assert len(calls) <= 2000, "RHS-call budget exceeded"
+            return rhs(t, y)
+
+        return counted
+
+    monkeypatch.setattr(dyn, "_ambient_rhs", counting)
+    st = canonical_state(0.75, 0.0, params)
+    with pytest.raises(IntegrationError) as err:
+        integrate(st, params, IntegrationConfig(t_span=(0.0, 20.0)))
+    assert str(err.value) == "constraint drift 1.863e-08 beyond 1e-08*R^2 at t=12.05063229686252"
+
+
+def test_project_constraint_rejects_points_off_the_shell():
+    y8 = np.array([2.0, 0.0, 1.0, 0.0, 0.1, 0.0, 0.0, 0.0])
+    out = dyn._project_constraint(y8, 1.5)
+    assert out[0] ** 2 + out[1] ** 2 - out[2] ** 2 - out[3] ** 2 == pytest.approx(2.25)
+    for z0 in (1.0, 0.5, math.nan, math.inf):  # z.z = 0, < 0, nan, inf
+        y8[0] = z0
+        with pytest.raises(IntegrationError, match=r"cannot project onto the shell"):
+            dyn._project_constraint(y8, 1.5)
+    y8[0] = 0.5
+    with pytest.raises(IntegrationError, match=r"\|z\|/R = 7\.454e-01 at t=3\.25$"):
+        dyn._project_constraint(y8, 1.5, 3.25)
+
+
 def test_free_mode_conserves_all_generators(params):
     st = PhaseState(ChartPoint(ChartId.OUTER_PLUS, 1.0, 0.3, 0.2), 0.4, -0.3, 0.6)
     traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 8.0)), Mode.FREE)

@@ -1,4 +1,5 @@
-"""Property tests: the array kernels against the single-state dataclass path.
+"""Property tests: the array kernels against the single-state dataclass path,
+and round trips of the single-state API.
 
 Each batch holds one state per entry of its coordinate arrays; every entry
 must equal what the dataclass API computes for that state alone.
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from hyposc.duals import Dual
 from hyposc.geometry import (
+    EPS,
     ChartId,
     ChartPoint,
     ModelParams,
@@ -21,13 +23,20 @@ from hyposc.geometry import (
     embed_coords,
     lift_coords,
     momentum_lift,
+    momentum_project,
+    phase_transition,
+    unembed,
 )
 from hyposc.invariants import (
+    IDENTITIES,
     ambient_generators,
+    check_identities,
     demkov_fradkin,
     df_components,
+    evaluate_invariants,
     generators,
     generators_ambient,
+    identity_residuals,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -132,3 +141,55 @@ def test_dual_abs_is_elementwise():
     singles = [abs(Dual(1.0, 1.0)), abs(Dual(-1.0, 1.0))]
     np.testing.assert_array_equal(batch.re, [d.re for d in singles])
     np.testing.assert_array_equal(batch.im, [d.im for d in singles])
+
+
+# ---------------------------------------------------------------------------
+# round trips of the single-state API
+# ---------------------------------------------------------------------------
+
+
+def _assert_states_equal(a, b, tol):
+    """Same chart, coordinates (phi modulo 2 pi) and momenta within tol."""
+    assert a.point.chart is b.point.chart
+    dphi = math.remainder(a.point.phi - b.point.phi, 2.0 * math.pi)
+    diffs = [a.point.q1 - b.point.q1, a.point.q2 - b.point.q2, dphi,
+             a.p1 - b.p1, a.p2 - b.p2, a.pphi - b.pphi]
+    scale = max(1.0, abs(a.p1), abs(a.p2), abs(a.pphi))
+    assert max(abs(d) for d in diffs) <= tol * scale, diffs
+
+
+def _check_round_trips(chart, row, params):
+    state = _state(chart, row)
+    z = embed(state.point, params)
+    back = unembed(z, chart, params)
+    _assert_states_equal(_state(chart, (back.q1, back.q2, back.phi) + row[3:]), state, 1e-11)
+
+    ph = momentum_lift(state, params)
+    _assert_states_equal(momentum_project(ph, chart, params), state, 1e-11)
+    # an interior point's canonical chart is its own
+    _assert_states_equal(phase_transition(state, params), state, 1e-11)
+
+    inv = evaluate_invariants(ph, params)
+    d = inv.df.d
+    residuals, scale = identity_residuals(
+        inv.hamiltonian, inv.free_hamiltonian, inv.generators,
+        (d[0, 0], d[0, 1], d[0, 2], d[1, 1], d[1, 2], d[2, 2]), params)
+    report = check_identities(inv, params)
+    assert report.all_passed
+    # rounding level: 4,000 random states reached 1,241 eps, against
+    # tolerances of 1e-10 to 1e-9
+    for (name, tol), r in zip(IDENTITIES, residuals):
+        if tol is not None:
+            assert r <= 1e4 * EPS * scale, (name, r, scale)
+
+
+@SETTINGS
+@given(OUTER_CHARTS, OUTER_ROW, PARAMS)
+def test_outer_round_trips(chart, row, params):
+    _check_round_trips(chart, row, params)
+
+
+@SETTINGS
+@given(INNER_CHARTS, INNER_ROW, PARAMS)
+def test_inner_round_trips(chart, row, params):
+    _check_round_trips(chart, row, params)

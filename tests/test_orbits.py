@@ -147,6 +147,31 @@ def test_time_of_flight_additive(params):
     npt.assert_allclose(t1 + t2, time_of_flight(r_min, r_max, 0.4, 0.25, params), rtol=1e-10)
 
 
+@pytest.mark.parametrize("e, l_sq, omega, radius", [
+    (0.4, 0.25, 1.0, 1.0),   # b = 1 - x2 > 0 (bounded)
+    (0.45, 0.1, 2.0, 0.5),   # b > 0 at other parameters
+    (0.5, 0.0, 1.0, 1.0),    # b = 0: fig9's threshold orbit
+    (0.8, 0.0, 1.0, 1.0),    # b < 0: fig9's unbounded orbit
+    (2.0, -0.5, 0.7, 1.6),   # b < 0 with L^2 < 0
+])
+def test_time_of_flight_matches_quadrature(e, l_sq, omega, radius):
+    # the closed form against the quadrature of dt = d theta / (omega (1 - X))
+    from scipy.integrate import quad
+
+    params = ModelParams(omega, radius)
+    x1, x2 = radial_roots(e, l_sq, params)
+    lo, hi = max(x1, 0.0), min(x2, 1.0 - 1e-3)
+    for xa, xb in ((lo, hi), (lo + 0.3 * (hi - lo), lo + 0.9 * (hi - lo))):
+        r_a, r_b = math.atanh(math.sqrt(xa)), math.atanh(math.sqrt(xb))
+        # theta of the radii as time_of_flight sees them: near a turning
+        # point asin amplifies the rounding of tanh(atanh(.)) to ~1e-8
+        th = [math.asin(math.sqrt(min(max(math.tanh(r) ** 2 - x1, 0.0) / (x2 - x1), 1.0)))
+              for r in (r_a, r_b)]
+        ref, _ = quad(lambda t: 1.0 / (1.0 - x1 - (x2 - x1) * math.sin(t) ** 2), *th,
+                      epsabs=1e-13, epsrel=1e-13, limit=200)
+        npt.assert_allclose(time_of_flight(r_a, r_b, e, l_sq, params), ref / omega, rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # radial closed forms
 # ---------------------------------------------------------------------------
