@@ -135,16 +135,15 @@ def _parse_integration(obj):
     span = obj.get("t_span", (0.0, 10.0))
     if not (isinstance(span, (list, tuple)) and len(span) == 2):
         raise ConfigError("integration.t_span must be [t0, t1]")
-    kwargs = {"t_span": (float(span[0]), float(span[1]))}
-    if "rel_tol" in obj:
-        kwargs["rel_tol"] = float(obj["rel_tol"])
-    if "abs_tol" in obj:
-        kwargs["abs_tol"] = float(obj["abs_tol"])
-    if obj.get("max_step") is not None:
-        kwargs["max_step"] = float(obj["max_step"])
     try:
+        kwargs = {"t_span": (float(span[0]), float(span[1]))}
+        for key in ("rel_tol", "abs_tol"):
+            if key in obj:
+                kwargs[key] = float(obj[key])
+        if obj.get("max_step") is not None:
+            kwargs["max_step"] = float(obj["max_step"])
         return IntegrationConfig(**kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad integration block: {exc}") from exc
 
 
@@ -162,7 +161,10 @@ def _parse_outputs(items) -> tuple:
         path = obj.get("path")
         if not isinstance(path, str) or not path:
             raise ConfigError(f"outputs[{i}].path must be a non-empty string")
-        ids = tuple(obj.get("ids", ()))
+        ids = obj.get("ids", [])
+        if not isinstance(ids, list):
+            raise ConfigError(f"outputs[{i}].ids must be a list of figure ids")
+        ids = tuple(ids)
         if ids and kind != "FigureSet":
             raise ConfigError(f"outputs[{i}].ids is only valid for FigureSet")
         for fid in ids:
@@ -243,36 +245,23 @@ def _classification_dict(oc: orbits.OrbitClassification) -> dict:
     }
 
 
+# report.json's max_drift key of each tracked sample column
+_DRIFT_KEYS = {"H": "H", "N1": "N1", "N2": "N2", "N3": "N3", "L1": "L1", "L2": "L2",
+               "L3": "L3", "Lsq": "L_sq", "C1": "C1", "C2": "C2", "D33": "D33"}
+
+
 def _drift_stats(traj: Trajectory) -> dict:
     """Max relative drift of each tracked invariant over the run."""
-
-    def series(pick):
-        return np.array([pick(s.invariants) for s in traj.samples])
-
-    tracked = {
-        "H": lambda inv: inv.hamiltonian,
-        "N1": lambda inv: inv.generators.n1,
-        "N2": lambda inv: inv.generators.n2,
-        "N3": lambda inv: inv.generators.n3,
-        "L1": lambda inv: inv.generators.l1,
-        "L2": lambda inv: inv.generators.l2,
-        "L3": lambda inv: inv.generators.l3,
-        "L_sq": lambda inv: inv.l_squared,
-        "C1": lambda inv: inv.casimir1,
-        "C2": lambda inv: inv.casimir2,
-        "D33": lambda inv: inv.df.d[2, 2],
-    }
     out = {}
-    for name, pick in tracked.items():
-        vals = series(pick)
-        out[name] = float(np.max(np.abs(vals - vals[0])) / max(1.0, abs(vals[0])))
+    for name, key in _DRIFT_KEYS.items():
+        vals = traj.column(name)
+        out[key] = float(np.max(np.abs(vals - vals[0])) / max(1.0, abs(vals[0])))
     return out
 
 
 def _report_dict(cfg: RunConfig, traj: Trajectory, files: dict) -> dict:
-    inv0 = traj.samples[0].invariants
-    e = inv0.hamiltonian
-    l_sq = inv0.l_squared
+    e = float(traj.column("H")[0])
+    l_sq = float(traj.column("Lsq")[0])
     counts = {}
     for ev in traj.events:
         counts[ev.kind.value] = counts.get(ev.kind.value, 0) + 1
@@ -292,7 +281,7 @@ def _report_dict(cfg: RunConfig, traj: Trajectory, files: dict) -> dict:
             "l_sq": l_sq,
         },
         "t_span": list(cfg.integration.t_span),
-        "samples": len(traj.samples),
+        "samples": traj.times.size,
         "events": counts,
         "measured_period": measure_period(traj),
         "classification": classification,
@@ -331,7 +320,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
         )
 
     print(
-        f"simulate: {len(traj.samples)} samples, {len(traj.events)} events, "
+        f"simulate: {traj.times.size} samples, {len(traj.events)} events, "
         f"{len(files)} output(s) in {out_dir}"
     )
     return EXIT_OK
@@ -405,8 +394,10 @@ def _print_identities(report: dict):
 
 def cmd_verify(suite: str, seed: int, n_points: Optional[int],
                tol: Optional[float], out_dir: Optional[str]) -> int:
+    if n_points is not None and n_points < 1:
+        raise ConfigError(f"--points must be >= 1, got {n_points}")
     params = ModelParams()
-    reports = []  # (name, passed, payload dict, printer)
+    reports = []  # (name, passed, payload dict)
 
     if suite in ("so22", "all"):
         kwargs = {"seed": seed}

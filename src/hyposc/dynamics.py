@@ -34,6 +34,13 @@ Samples are taken at the accepted steps, before any projection; events
 (chart crossings, radial turning points, period closures) are
 root-polished by brentq on the step's dense output to ~1e-12.
 
+A run's samples form one float table with a row per name in COLUMNS (time,
+chart state, ambient state, invariants) and a column per sample.  Chart
+samples are lifted one at a time (lift_coords on floats, through math);
+ambient samples are projected onto the shell and mapped to their chart one
+at a time; the invariants are then evaluated once over the run's (8, n)
+ambient block.
+
 The time-T map of a bounded orbit is the central inversion
 (z0, zvec, p0, pvec) -> (z0, -zvec, p0, -pvec); a PeriodClosure event is
 logged whenever the state returns within 1e-6 normalized phase distance of
@@ -47,13 +54,14 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .geometry import (
+    TWO_PI,
     ChartId,
     ChartPoint,
     EmbeddingPhase,
@@ -61,14 +69,13 @@ from .geometry import (
     ModelParams,
     PhaseState,
     chart_select,
+    lift_coords,
     momentum_lift,
     momentum_project,
 )
-from .invariants import (
-    InvariantSet,
-    evaluate_invariants,
-    l_squared,
-)
+from .invariants import invariant_coords, l_squared
+# a single-state view kept reachable through this module (bench/tracer.py wraps it)
+from .invariants import evaluate_invariants  # noqa: F401
 
 
 def __getattr__(name):
@@ -105,13 +112,6 @@ class Event:
     t: float
     kind: EventKind
     detail: str = ""
-
-
-class Sample(NamedTuple):
-    t: float
-    state: PhaseState
-    ambient: EmbeddingPhase
-    invariants: InvariantSet
 
 
 @dataclass(frozen=True)
@@ -855,17 +855,24 @@ def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, max_step=math.inf,
 # ---------------------------------------------------------------------------
 
 
-CSV_COLUMNS = (
-    "t,chart,q1,q2,phi,p1,p2,pphi,z0,z1,z2,z3,"
-    "H,L1,L2,L3,Lsq,C1,C2,D11,D12,D13,D22,D23,D33"
+# The sample table: one row per name, one column per sample.  t is the
+# sample time; q1..pphi the chart coordinates and momenta on the sample's
+# chart (Trajectory.charts); z0..z3 and pz0..pz3 the ambient point and its
+# covariant momenta; the rest the invariants of invariants.invariant_coords.
+COLUMNS = (
+    "t", "q1", "q2", "phi", "p1", "p2", "pphi",
+    "z0", "z1", "z2", "z3", "pz0", "pz1", "pz2", "pz3",
+    "H", "N1", "N2", "N3", "L1", "L2", "L3", "Lsq", "C1", "C2",
+    "D11", "D12", "D13", "D22", "D23", "D33",
 )
+_ROW = {name: i for i, name in enumerate(COLUMNS)}
 
-INVARIANTS_COLUMNS = "t,H,N1,N2,N3,L1,L2,L3,Lsq,C1,C2,D11,D12,D13,D22,D23,D33"
-
-
-# one %-format per CSV row; "%.17g" prints exactly what f"{x:.17g}" does
-_CSV_ROW = "%.17g,%s," + ",".join(["%.17g"] * (CSV_COLUMNS.count(",") - 1))
-_INVARIANTS_ROW = ",".join(["%.17g"] * (INVARIANTS_COLUMNS.count(",") + 1))
+# the columns of the two CSV exports; "chart" is the chart token of a sample
+CSV_COLUMNS = (
+    "t", "chart", "q1", "q2", "phi", "p1", "p2", "pphi", "z0", "z1", "z2", "z3",
+    "H", "L1", "L2", "L3", "Lsq", "C1", "C2", "D11", "D12", "D13", "D22", "D23", "D33",
+)
+INVARIANTS_COLUMNS = ("t",) + COLUMNS[_ROW["H"]:]
 
 
 def atomic_write_text(path: str, content: str):
@@ -882,25 +889,49 @@ def atomic_write_text(path: str, content: str):
         raise
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Immutable integration result: samples at accepted steps plus events."""
+def write_table(path: str, names, columns):
+    """Write equal-length columns as CSV under the header `names`.
 
-    samples: tuple
+    A column is a sequence of strings, written as they are, or of numbers,
+    written as "%.17g" (exactly what f"{x:.17g}" prints for a float).
+    """
+    columns = [col if isinstance(col[0], str) else np.asarray(col, dtype=float).tolist()
+               for col in columns]
+    fmt = ",".join("%s" if isinstance(col[0], str) else "%.17g" for col in columns)
+    lines = [",".join(names)]
+    lines.extend(fmt % row for row in zip(*columns))
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Immutable integration result: the sample table plus events.
+
+    `table` has one row per name in COLUMNS and one column per sample: the
+    start of the span, then each accepted solver step.  `charts[i]` is the
+    chart of sample i's chart coordinates (the run's chart on the chart
+    path, chart_select of the sample's point in ambient form).  `column`
+    reads one row of the table by name.
+    """
+
+    table: np.ndarray = field(repr=False)
+    charts: tuple = field(repr=False)
     events: tuple
     params: ModelParams
     mode: Mode
-    sol: object = field(repr=False, compare=False, default=None)  # DenseSolution of the run
+    sol: object = field(repr=False, default=None)  # DenseSolution of the run
     chart: Optional[ChartId] = None  # chart the run was integrated on; None in ambient form
+
+    def column(self, name: str) -> np.ndarray:
+        return self.table[_ROW[name]]
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
+        return self.column("t")
 
     def ambient_at(self, t: float) -> EmbeddingPhase:
         """Evaluate the dense solution at any time inside the span."""
-        y8 = self._y8_at(t)
-        return _phase_from_y8(_project_constraint(y8, self.params.radius, t))
+        return _phase_from_y8(_project_constraint(self._y8_at(t), self.params.radius, t))
 
     def _y8_at(self, t: float) -> np.ndarray:
         if not (self.sol.t_min - 1e-12 <= t <= self.sol.t_max + 1e-12):
@@ -908,38 +939,20 @@ class Trajectory:
         y = np.asarray(self.sol(t), dtype=float)
         if self.chart is None:
             return y
-        state = PhaseState(ChartPoint(self.chart, y[0], y[1], y[2]), y[3], y[4], y[5])
-        return _y8_from_phase(momentum_lift(state, self.params))
+        q = (y[0], y[1], y[2] % TWO_PI, y[3], y[4], y[5])
+        return np.array(lift_coords(self.chart, q, self.params.radius))
 
     # ---- export ----
 
+    def _write(self, path: str, names):
+        write_table(path, names, [[c.value for c in self.charts] if name == "chart"
+                                  else self.column(name) for name in names])
+
     def to_csv(self, path: str):
-        rows = [CSV_COLUMNS]
-        for s in self.samples:
-            g = s.invariants.generators
-            d = s.invariants.df.d
-            pt = s.state.point
-            z = s.ambient.z
-            rows.append(_CSV_ROW % (
-                s.t, pt.chart.value, pt.q1, pt.q2, pt.phi,
-                s.state.p1, s.state.p2, s.state.pphi, z.z0, z.z1, z.z2, z.z3,
-                s.invariants.hamiltonian, g.l1, g.l2, g.l3, s.invariants.l_squared,
-                s.invariants.casimir1, s.invariants.casimir2,
-                d[0, 0], d[0, 1], d[0, 2], d[1, 1], d[1, 2], d[2, 2],
-            ))
-        atomic_write_text(path, "\n".join(rows) + "\n")
+        self._write(path, CSV_COLUMNS)
 
     def to_invariants_csv(self, path: str):
-        rows = [INVARIANTS_COLUMNS]
-        for s in self.samples:
-            g = s.invariants.generators
-            d = s.invariants.df.d
-            rows.append(_INVARIANTS_ROW % (
-                s.t, s.invariants.hamiltonian, g.n1, g.n2, g.n3, g.l1, g.l2, g.l3,
-                s.invariants.l_squared, s.invariants.casimir1, s.invariants.casimir2,
-                d[0, 0], d[0, 1], d[0, 2], d[1, 1], d[1, 2], d[2, 2],
-            ))
-        atomic_write_text(path, "\n".join(rows) + "\n")
+        self._write(path, INVARIANTS_COLUMNS)
 
     def events_as_dicts(self):
         return [{"t": e.t, "kind": e.kind.value, "detail": e.detail} for e in self.events]
@@ -998,14 +1011,7 @@ def integrate(
             if t_ev <= t0 + 1e-12:
                 continue
             # shape minimum iff d(shape)/dt turns up: sign carried by pdot1
-            s_min = rhs(float(t_ev), sol.sol(float(t_ev)))[3] > 0.0
-            events.append(
-                Event(
-                    float(t_ev),
-                    EventKind.RADIAL_TURNING_POINT,
-                    "pericenter" if s_min else "apocenter",
-                )
-            )
+            events.append(_turning_point(t_ev, rhs(float(t_ev), sol.sol(float(t_ev)))[3] > 0.0))
     else:
         chart = None
         rhs = _ambient_rhs(params, mode)
@@ -1041,37 +1047,35 @@ def integrate(
             if abs(yev[0]) <= 1e-9 * R:
                 continue  # z0 = 0 root of z0*p0, not a radial turning
             # sdotdot = -2 z0 pdot0 / R^2 at p0 = 0
-            s_min = yev[0] * rhs(float(t_ev), yev)[4] < 0.0
-            events.append(
-                Event(
-                    float(t_ev),
-                    EventKind.RADIAL_TURNING_POINT,
-                    "pericenter" if s_min else "apocenter",
-                )
-            )
+            events.append(_turning_point(t_ev, yev[0] * rhs(float(t_ev), yev)[4] < 0.0))
 
-    # ---- assemble samples -------------------------------------------------
-    samples = []
+    # ---- sample table -----------------------------------------------------
+    # per sample: t, the chart state and the ambient state, in COLUMNS order
+    rows, charts = [], []
     for t_i, yvec in zip(sol.t, sol.y.T):
         if chart is not None:
-            state = PhaseState(
-                ChartPoint(chart, yvec[0], yvec[1], yvec[2]), yvec[3], yvec[4], yvec[5]
-            )
-            ph = momentum_lift(state, params)
-            y8 = _y8_from_phase(ph)
+            q = (yvec[0], yvec[1], yvec[2] % TWO_PI, yvec[3], yvec[4], yvec[5])
+            y8 = np.array(lift_coords(chart, q, R))
+            _check_drift(t_i, y8, R)
+            charts.append(chart)
         else:
-            y8 = yvec
-        _check_drift(t_i, y8, R)
-        if chart is None:
-            y8 = _project_constraint(y8, R, t_i)
+            _check_drift(t_i, yvec, R)
+            y8 = _project_constraint(yvec, R, t_i)
             ph = _phase_from_y8(y8)
-            state = momentum_project(ph, chart_select(ph.z, params), params)
-        inv = evaluate_invariants(ph, params, mode.value)
-        samples.append(Sample(float(t_i), state, ph, inv))
+            charts.append(chart_select(ph.z, params))
+            st = momentum_project(ph, charts[-1], params)
+            q = (st.point.q1, st.point.q2, st.point.phi, st.p1, st.p2, st.pphi)
+        rows.append((t_i, *q, *y8))
+    head = np.array(rows).T
+    y8 = head[_ROW["z0"]:]
+    h, _, gens, d = invariant_coords(y8[:4], y8[4:], params, mode.value)
+    table = np.vstack([head, h, *gens.n, *gens.l, gens.l_squared(), gens.casimir1(),
+                       gens.casimir2(), *d])
+    table.flags.writeable = False
 
     # ---- period-closure pass ---------------------------------------------
-    traj = Trajectory(tuple(samples), tuple(events), params, mode, sol.sol, chart)
-    t_est = _period_from_events(events)
+    traj = Trajectory(table, tuple(charts), tuple(events), params, mode, sol.sol, chart)
+    t_est = measure_period(traj)
     if t_est is not None:
         x0 = _project_constraint(y80, R, t0)
         xi = central_inversion(x0)
@@ -1079,46 +1083,51 @@ def integrate(
         while t0 + k * t_est <= t1 + 1e-9:
             tk = min(t0 + k * t_est, t1)
             yk = _project_constraint(traj._y8_at(tk), R, tk)
-            d = min(phase_distance(yk, x0, R), phase_distance(yk, xi, R))
-            if d < CLOSURE_TOL:
+            dist = min(phase_distance(yk, x0, R), phase_distance(yk, xi, R))
+            if dist < CLOSURE_TOL:
                 events.append(Event(float(tk), EventKind.PERIOD_CLOSURE, f"k={k}"))
             k += 1
-        traj = Trajectory(
-            tuple(samples),
-            tuple(sorted(events, key=lambda e: e.t)),
-            params,
-            mode,
-            sol.sol,
-            chart,
-        )
-    return traj
+    return replace(traj, events=tuple(sorted(events, key=lambda e: e.t)))
+
+
+def _turning_point(t, s_min: bool) -> Event:
+    return Event(float(t), EventKind.RADIAL_TURNING_POINT, "pericenter" if s_min else "apocenter")
 
 
 def _period_from_events(events) -> Optional[float]:
+    turns = [e for e in events if e.kind == EventKind.RADIAL_TURNING_POINT]
     for which in ("pericenter", "apocenter"):
-        ts = [e.t for e in events if e.kind == EventKind.RADIAL_TURNING_POINT and e.detail == which]
+        ts = [e.t for e in turns if e.detail == which]
         if len(ts) >= 2:
             return (ts[-1] - ts[0]) / (len(ts) - 1)
+    if len(turns) >= 2:
+        # the kinds alternate, one turning point every half period
+        return 2.0 * (turns[-1].t - turns[0].t) / (len(turns) - 1)
     return None
 
 
 def measure_period(traj: Trajectory) -> Optional[float]:
-    """Radial period from same-branch turning events.
+    """Radial period from the turning events, or the circular rate.
 
-    Circular orbits have no p_r sign changes; for them the period is the
-    time to advance the azimuth by pi (the closure angle of bounded
-    orbits).  A vanishing radial momentum throughout the window forces
-    uniform rotation, so the azimuthal rate of the first sample is exact.
-    Returns None for unbounded motion or windows shorter than the period.
+    With two turning points of one kind (pericenter or apocenter) the period
+    is their mean spacing.  Otherwise, with n >= 2 turning points of either
+    kind, it is 2 (t_last - t_first)/(n - 1), since the kinds alternate every
+    half period.  Circular orbits have no p_r sign changes; for them the
+    period is the time to advance the azimuth by pi (the closure angle of
+    bounded orbits).  A vanishing radial momentum throughout the window
+    forces uniform rotation, so the azimuthal rate of the first sample is
+    exact.  Returns None for unbounded motion, and for windows with fewer
+    than two turning points (for a circular orbit: shorter than the period).
     """
     t = _period_from_events(traj.events)
     if t is not None:
         return t
     # circular fallback: p1 stays at zero throughout
-    p1max = max(abs(s.state.p1) for s in traj.samples)
-    pscale = max(1.0, max(abs(s.state.pphi) for s in traj.samples))
+    p1max = np.max(np.abs(traj.column("p1")))
+    pscale = max(1.0, np.max(np.abs(traj.column("pphi"))))
     if p1max < 1e-8 * pscale:
-        rate = abs(equations_of_motion(traj.samples[0].state, traj.params, traj.mode).dphi)
+        y = [traj.column(name)[0] for name in ("q1", "q2", "phi", "p1", "p2", "pphi")]
+        rate = abs(_chart_rhs(traj.charts[0].is_outer, traj.params, traj.mode)(0.0, y)[2])
         window = traj.times[-1] - traj.times[0]
         if rate > 0.0 and window * rate >= math.pi:
             return math.pi / rate

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import ChartId, ChartPoint, ModelParams, PhaseState
-from .dynamics import IntegrationConfig, atomic_write_text, integrate
+from .dynamics import IntegrationConfig, atomic_write_text, integrate, write_table
 
 CLASS_BAND = 1e-12  # relative band for threshold equality tests
 
@@ -717,15 +717,10 @@ _CAPTIONS = {
 }
 
 N_ORBIT_SAMPLES = 720
+_MESH_COLUMNS = ("u", "v", "z0", "z1", "z2", "z3")
+_BRANCH_COLUMNS = ("arm", "q2", "z0", "z1", "z2", "z3")
 _R_CAP = 4.0  # radial cap for unbounded curve sampling
 _R_FLOOR = 0.05
-
-
-def _write_table(path: str, header: str, rows: np.ndarray):
-    row_fmt = ",".join(["%.17g"] * (header.count(",") + 1))
-    lines = [header]
-    lines.extend(row_fmt % tuple(row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _ueff_figure(fig_id: str, out_dir: str, params: ModelParams) -> dict:
@@ -737,7 +732,7 @@ def _ueff_figure(fig_id: str, out_dir: str, params: ModelParams) -> dict:
         cols.append(effective_potential(r, l, params))
         names.append(f"u{i}")
     fname = f"{fig_id}_ueff.csv"
-    _write_table(os.path.join(out_dir, fname), ",".join(names), np.column_stack(cols))
+    write_table(os.path.join(out_dir, fname), names, cols)
     return {
         "figure": fig_id,
         "caption": _CAPTIONS[fig_id],
@@ -761,7 +756,7 @@ def _upper_sheet_mesh(out_dir: str, fname: str, params: ModelParams) -> dict:
             rows.append(
                 (i, j, R * math.cosh(rr), 0.0, R * math.sinh(rr) * math.cos(ph), R * math.sinh(rr) * math.sin(ph))
             )
-    _write_table(os.path.join(out_dir, fname), "u,v,z0,z1,z2,z3", np.array(rows))
+    write_table(os.path.join(out_dir, fname), _MESH_COLUMNS, list(zip(*rows)))
     return {"file": fname, "kind": "carrier", "surface": "TwoSheetedUpper", "grid": [36, 73]}
 
 
@@ -785,11 +780,8 @@ def _conic_figure(fig_id: str, out_dir: str, params: ModelParams) -> dict:
         z2 = R * np.sinh(r) * np.cos(phis)
         z3 = R * np.sinh(r) * np.sin(phis)
         fname = f"{fig_id}_orbit_p{p:g}_eps{eps:g}.csv"
-        _write_table(
-            os.path.join(out_dir, fname),
-            "phi,z0,z1,z2,z3",
-            np.column_stack([phis, z0, np.zeros_like(z0), z2, z3]),
-        )
+        write_table(os.path.join(out_dir, fname), ("phi", "z0", "z1", "z2", "z3"),
+                    [phis, z0, np.zeros_like(z0), z2, z3])
         datasets.append(
             {"file": fname, "kind": "orbit", "params": {"p": p, "eps": eps}}
         )
@@ -807,7 +799,7 @@ def _one_sheeted_mesh(out_dir: str, fname: str, params: ModelParams) -> dict:
             rows.append(
                 (i, j, R * math.cosh(s) * math.cos(a), R * math.cosh(s) * math.sin(a), R * math.sinh(s), 0.0)
             )
-    _write_table(os.path.join(out_dir, fname), "u,v,z0,z1,z2,z3", np.array(rows))
+    write_table(os.path.join(out_dir, fname), _MESH_COLUMNS, list(zip(*rows)))
     return {"file": fname, "kind": "carrier", "surface": "OneSheeted", "grid": [41, 73]}
 
 
@@ -837,11 +829,8 @@ def _fig8(out_dir: str, params: ModelParams) -> dict:
         z1 = R * np.sinh(r) * np.sinh(taus)
         z2 = R * np.sinh(r) * np.cosh(taus)
         fname = f"fig8_outer_e{e:g}.csv"
-        _write_table(
-            os.path.join(out_dir, fname),
-            "arm,q2,z0,z1,z2,z3",
-            np.column_stack([arms, taus, z0, z1, z2, np.zeros_like(z0)]),
-        )
+        write_table(os.path.join(out_dir, fname), _BRANCH_COLUMNS,
+                    [arms, taus, z0, z1, z2, np.zeros_like(z0)])
         datasets.append(
             {"file": fname, "kind": "orbit_outer", "params": {"e": e, "l_sq": -1.0, "beta": 0.0}}
         )
@@ -855,11 +844,8 @@ def _fig8(out_dir: str, params: ModelParams) -> dict:
         z1 = R * np.sin(chi) * np.cosh(mus)
         z2 = R * np.sin(chi) * np.sinh(mus)
         fname = f"fig8_inner_e{e:g}.csv"
-        _write_table(
-            os.path.join(out_dir, fname),
-            "arm,q2,z0,z1,z2,z3",
-            np.column_stack([np.zeros_like(mus), mus, z0, z1, z2, np.zeros_like(z0)]),
-        )
+        write_table(os.path.join(out_dir, fname), _BRANCH_COLUMNS,
+                    [np.zeros_like(mus), mus, z0, z1, z2, np.zeros_like(z0)])
         datasets.append(
             {"file": fname, "kind": "orbit_inner", "params": {"e": e, "l_sq": -1.0, "beta": 0.0}}
         )
@@ -876,7 +862,7 @@ def _cylinder_mesh(out_dir: str, fname: str, params: ModelParams) -> dict:
         for i, s in enumerate(sig):
             for j, h in enumerate(hs):
                 rows.append((i, j, R * math.cosh(s), h, R * math.sinh(s), sheet * h))
-    _write_table(os.path.join(out_dir, fname), "u,v,z0,z1,z2,z3", np.array(rows))
+    write_table(os.path.join(out_dir, fname), _MESH_COLUMNS, list(zip(*rows)))
     return {"file": fname, "kind": "carrier", "surface": "HyperbolicCylinder", "grid": [41, 31]}
 
 
@@ -907,7 +893,8 @@ def _fig9(out_dir: str, params: ModelParams) -> dict:
             ph = traj.ambient_at(float(t))
             rows.append((t, ph.z.z0, ph.z.z1, ph.z.z2, ph.z.z3))
         fname = f"fig9_orbit_e{e:g}.csv"
-        _write_table(os.path.join(out_dir, fname), "t,z0,z1,z2,z3", np.array(rows))
+        write_table(os.path.join(out_dir, fname), ("t", "z0", "z1", "z2", "z3"),
+                    list(zip(*rows)))
         datasets.append(
             {
                 "file": fname,

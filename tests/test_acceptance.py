@@ -21,7 +21,7 @@ from hyposc.dynamics import (
     measure_period,
     phase_distance,
 )
-from hyposc.geometry import ModelParams, momentum_lift
+from hyposc.geometry import EmbeddingPoint, ModelParams, momentum_lift
 from hyposc.invariants import check_identities, evaluate_invariants
 from hyposc.orbits import (
     FIGURE_IDS,
@@ -67,6 +67,9 @@ def _report(num, ok, detail):
 
 def _y8(ph):
     return np.concatenate([ph.z.array, ph.momentum_array])
+
+
+Y8_COLUMNS = ("z0", "z1", "z2", "z3", "pz0", "pz1", "pz2", "pz3")
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +123,12 @@ def test_criterion_02_second_casimir_matches_free_hamiltonian(params, seeded_inv
 
 def test_criterion_03_invariant_drift_ten_periods(case_a):
     traj = case_a["traj"]
-    inv0 = traj.samples[0].invariants
-    tracked = {
-        "H": lambda i: i.hamiltonian,
-        "L1": lambda i: i.generators.l1,
-        "L2": lambda i: i.generators.l2,
-        "L3": lambda i: i.generators.l3,
-        "L^2": lambda i: i.l_squared,
-        "D33": lambda i: i.df.d[2, 2],
-    }
+    tracked = {"H": "H", "L1": "L1", "L2": "L2", "L3": "L3", "L^2": "Lsq", "D33": "D33"}
     drifts = {}
-    for name, pick in tracked.items():
-        v0 = pick(inv0)
-        drifts[name] = max(abs(pick(s.invariants) - v0) for s in traj.samples) / max(1.0, abs(v0))
+    for name, column in tracked.items():
+        vals = traj.column(column)
+        v0 = vals[0]
+        drifts[name] = max(abs(v - v0) for v in vals) / max(1.0, abs(v0))
     worst = max(drifts.values())
     _report(
         3,
@@ -147,7 +143,7 @@ def test_criterion_04_closure_and_period_grid(case_a, params):
     traj = case_a["traj"]
     period = case_a["period"]
     # (a) the time-T map returns to the start modulo the central inversion
-    x0 = _y8(traj.samples[0].ambient)
+    x0 = np.array([traj.column(name)[0] for name in Y8_COLUMNS])
     xt = _y8(traj.ambient_at(period))
     dist = min(
         phase_distance(xt, x0, params.radius),
@@ -181,9 +177,8 @@ def test_criterion_04_closure_and_period_grid(case_a, params):
     )
 
 
-def _signed_s(state):
-    q1 = state.point.q1
-    if state.point.chart.is_outer:
+def _signed_s(chart, q1):
+    if chart.is_outer:
         return math.sinh(q1) ** 2
     return -math.sin(q1) ** 2
 
@@ -195,10 +190,10 @@ def test_criterion_05_radial_closed_forms(case_a, neg_l2_traj, params):
     def check(label, traj, sol, t_max=None):
         nonlocal worst_all
         worst = 0.0
-        for s in traj.samples:
-            if t_max is not None and s.t > t_max:
+        for t, chart, q1 in zip(traj.times, traj.charts, traj.column("q1")):
+            if t_max is not None and t > t_max:
                 continue
-            worst = max(worst, abs(_signed_s(s.state) - float(sol(s.t))))
+            worst = max(worst, abs(_signed_s(chart, q1) - float(sol(t))))
         details.append(f"{label}={worst:.2e}")
         worst_all = max(worst_all, worst)
 
@@ -246,14 +241,15 @@ def test_criterion_06_conic_orbit_geometry(case_a, params):
     b2, a2 = conic.b_sq, conic.a_sq
     worst_chart = 0.0
     worst_disk = 0.0
-    for s in case_a["traj"].samples:
-        pt = s.state.point
-        x = math.tanh(pt.q1) ** 2
+    traj = case_a["traj"]
+    z = zip(*(traj.column(name) for name in ("z0", "z1", "z2", "z3")))
+    for q1, phi, z_i in zip(traj.column("q1"), traj.column("phi"), z):
+        x = math.tanh(q1) ** 2
         worst_chart = max(
             worst_chart,
-            abs(x * (math.cos(pt.phi) ** 2 / b2 + math.sin(pt.phi) ** 2 / a2) - 1.0),
+            abs(x * (math.cos(phi) ** 2 / b2 + math.sin(phi) ** 2 / a2) - 1.0),
         )
-        x1, x2, x3 = beltrami(s.ambient.z, params)
+        x1, x2, x3 = beltrami(EmbeddingPoint(*z_i), params)
         worst_disk = max(
             worst_disk,
             abs((x2**2 / b2 + x3**2 / a2) / params.radius**2 - 1.0),
@@ -409,12 +405,11 @@ def test_criterion_09_negative_l2_chart_structure(neg_l2_traj, params):
     )
     worst = 0.0
     n_inner = 0
-    for s in traj.samples:
-        pt = s.state.point
-        if pt.chart.is_outer:
+    for chart, q1, q2 in zip(traj.charts, traj.column("q1"), traj.column("q2")):
+        if chart.is_outer:
             continue
         n_inner += 1
-        worst = max(worst, abs(1.0 / math.tan(pt.q1) ** 2 - float(curve.inner(pt.q2))))
+        worst = max(worst, abs(1.0 / math.tan(q1) ** 2 - float(curve.inner(q2))))
     ok = count_ok and pattern_ok and n_inner > 10 and worst < TOL_INNER_BRANCH
     _report(
         9,

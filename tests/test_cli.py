@@ -150,6 +150,40 @@ def test_simulate_rejects_removed_integration_keys(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def _simulate_exit(tmp_path, capsys, cfg):
+    cfg_path = _write_config(tmp_path, cfg)
+    code = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "x")])
+    return code, capsys.readouterr().err
+
+
+def test_simulate_non_numeric_t_span_is_a_config_error(tmp_path, capsys):
+    code, err = _simulate_exit(tmp_path, capsys, _base_config(integration={"t_span": ["a", 10]}))
+    assert code == EXIT_CONFIG and err.startswith("config error: bad integration block")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("key", ["rel_tol", "abs_tol", "max_step"])
+def test_simulate_non_numeric_tolerance_is_a_config_error(tmp_path, capsys, key):
+    cfg = _base_config(integration={"t_span": [0.0, 8.0], key: "x"})
+    code, err = _simulate_exit(tmp_path, capsys, cfg)
+    assert code == EXIT_CONFIG and err.startswith("config error: bad integration block")
+
+
+def test_simulate_non_list_figure_ids_is_a_config_error(tmp_path, capsys):
+    cfg = _base_config(outputs=[{"kind": "FigureSet", "path": "figs", "ids": 3}])
+    code, err = _simulate_exit(tmp_path, capsys, cfg)
+    assert code == EXIT_CONFIG and err.startswith("config error: outputs[0].ids must be a list")
+
+
+@pytest.mark.parametrize("suite", ["so22", "appendix_a", "identities", "all"])
+@pytest.mark.parametrize("points", ["0", "-2"])
+def test_verify_nonpositive_points_is_a_config_error(suite, points, capsys):
+    assert main(["verify", suite, "--points", points]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: --points must be >= 1, got {points}\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # classify command
 # ---------------------------------------------------------------------------

@@ -16,8 +16,18 @@ from hyposc.dynamics import (
     measure_period,
     potential,
 )
-from hyposc.geometry import ChartId, ChartPoint, ModelParams, PhaseState, momentum_lift
-from hyposc.invariants import l_squared
+from hyposc.geometry import (
+    ChartId,
+    ChartPoint,
+    EmbeddingPhase,
+    EmbeddingPoint,
+    ModelParams,
+    PhaseState,
+    chart_select,
+    momentum_lift,
+    momentum_project,
+)
+from hyposc.invariants import evaluate_invariants, l_squared
 from hyposc.orbits import canonical_state, classify, eff_minimum, radial_solution
 
 
@@ -152,11 +162,11 @@ def test_integrate_calls_solver_set_on_module(params, monkeypatch):
 
 def test_case_a_conservation(case_a):
     traj = case_a["traj"]
-    inv0 = traj.samples[0].invariants
-    for s in traj.samples:
-        assert abs(s.invariants.hamiltonian - inv0.hamiltonian) < 1e-9
-        assert abs(s.invariants.l_squared - inv0.l_squared) < 1e-9
-        assert abs(s.invariants.casimir1) < 1e-10
+    h, lsq, c1 = traj.column("H"), traj.column("Lsq"), traj.column("C1")
+    for i in range(traj.times.size):
+        assert abs(h[i] - h[0]) < 1e-9
+        assert abs(lsq[i] - lsq[0]) < 1e-9
+        assert abs(c1[i]) < 1e-10
 
 
 def test_case_a_turning_events(case_a):
@@ -179,9 +189,9 @@ def test_case_a_matches_radial_closed_form(case_a, params):
     traj, e, l_sq = case_a["traj"], case_a["e"], case_a["l_sq"]
     # canonical start at pericenter; upward mean crossing a quarter phase later
     sol = radial_solution(e, l_sq, params, t0=math.pi / (4.0 * math.sqrt(0.2)))
-    for s in traj.samples:
-        s_num = math.sinh(s.state.point.q1) ** 2
-        assert abs(s_num - float(sol(s.t))) < 1e-6
+    for t, q1 in zip(traj.times, traj.column("q1")):
+        s_num = math.sinh(q1) ** 2
+        assert abs(s_num - float(sol(t))) < 1e-6
 
 
 def test_measured_period_against_formula(case_a):
@@ -194,6 +204,28 @@ def test_circular_measured_period(params):
     st = canonical_state(0.375, 0.25, params)
     traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 13.0)))
     npt.assert_allclose(measure_period(traj), 2.0 * math.pi, rtol=1e-12)
+
+
+@pytest.mark.parametrize("e, l_sq, chart", [(0.3, 0.1, ChartId.OUTER_PLUS), (0.25, -0.2, None)])
+def test_measured_period_on_windows_of_one_to_two_periods(params, e, l_sq, chart):
+    # the turning point at t0 is not logged, so these windows can hold only
+    # one turning point of each kind; the two kinds alternate every half period
+    period = classify(e, l_sq, params).period
+    for windows in (1.2, 1.5):
+        cfg = IntegrationConfig(t_span=(0.0, windows * period))
+        traj = integrate(canonical_state(e, l_sq, params), params, cfg)
+        assert traj.chart is chart
+        npt.assert_allclose(measure_period(traj), period, rtol=1e-8)
+
+
+def test_circular_orbit_logs_period_closures(params):
+    # no turning points: the closure pass takes the circular rate
+    traj = integrate(canonical_state(0.375, 0.25, params), params,
+                     IntegrationConfig(t_span=(0.0, 20.0)))
+    closures = [e for e in traj.events if e.kind == EventKind.PERIOD_CLOSURE]
+    assert [e.detail for e in closures] == ["k=1", "k=2", "k=3"]
+    npt.assert_allclose([e.t for e in closures], [2.0 * math.pi * k for k in (1, 2, 3)],
+                        rtol=1e-12)
 
 
 def test_unbounded_has_no_period(params):
@@ -305,7 +337,7 @@ def test_representation_chosen_from_initial_state(params, case_a, neg_l2_traj, m
     st = PhaseState(ChartPoint(ChartId.OUTER_PLUS, 0.6, 0.0, 0.0), -0.3, 0.0, 1e-4)
     traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 20.0)))
     assert traj.chart is None and len(runs) == 1
-    energies = [s.invariants.hamiltonian for s in traj.samples]
+    energies = list(traj.column("H"))
     assert max(energies) - min(energies) < 1e-9
     period = classify(hamiltonian(st, params), l_squared(st), params).period
     npt.assert_allclose(measure_period(traj), period, atol=1e-6)
@@ -334,7 +366,7 @@ def test_zero_l2_span_ending_at_the_pole(params):
     period = classify(0.25, 0.0, params).period
     st = canonical_state(0.25, 0.0, params)
     traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 1.5 * period)))
-    assert traj.samples[-1].t == pytest.approx(1.5 * period)
+    assert traj.times[-1] == pytest.approx(1.5 * period)
     npt.assert_allclose(measure_period(traj), period, rtol=1e-8)
 
 
@@ -379,10 +411,9 @@ def test_project_constraint_rejects_points_off_the_shell():
 def test_free_mode_conserves_all_generators(params):
     st = PhaseState(ChartPoint(ChartId.OUTER_PLUS, 1.0, 0.3, 0.2), 0.4, -0.3, 0.6)
     traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 8.0)), Mode.FREE)
-    g0 = traj.samples[0].invariants.generators
-    for s in traj.samples:
-        g = s.invariants.generators
-        npt.assert_allclose(g.l + g.n, g0.l + g0.n, atol=1e-9)
+    generators = np.array([traj.column(name) for name in ("L1", "L2", "L3", "N1", "N2", "N3")])
+    for g in generators.T:
+        npt.assert_allclose(g, generators[:, 0], atol=1e-9)
 
 
 def test_neg_l2_crossings(neg_l2_traj):
@@ -396,10 +427,10 @@ def test_neg_l2_crossings(neg_l2_traj):
 
 def test_neg_l2_conservation_through_crossings(neg_l2_traj):
     traj = neg_l2_traj["traj"]
-    inv0 = traj.samples[0].invariants
-    for s in traj.samples:
-        assert abs(s.invariants.hamiltonian - inv0.hamiltonian) < 1e-8
-        assert abs(s.invariants.l_squared - inv0.l_squared) < 1e-8
+    h, lsq = traj.column("H"), traj.column("Lsq")
+    for i in range(traj.times.size):
+        assert abs(h[i] - h[0]) < 1e-8
+        assert abs(lsq[i] - lsq[0]) < 1e-8
 
 
 def test_neg_l2_measured_period(neg_l2_traj):
@@ -409,15 +440,68 @@ def test_neg_l2_measured_period(neg_l2_traj):
 
 def test_trajectory_dense_eval_matches_samples(case_a):
     traj = case_a["traj"]
-    mid = traj.samples[len(traj.samples) // 2]
-    ph = traj.ambient_at(mid.t)
+    mid = traj.times.size // 2
+    ph = traj.ambient_at(traj.times[mid])
     npt.assert_allclose(
         [ph.z.z0, ph.z.z1, ph.z.z2, ph.z.z3],
-        [mid.ambient.z.z0, mid.ambient.z.z1, mid.ambient.z.z2, mid.ambient.z.z3],
+        [traj.column(name)[mid] for name in ("z0", "z1", "z2", "z3")],
         atol=1e-9,
     )
     with pytest.raises(ValueError):
         traj.ambient_at(1e6)
+
+
+INVARIANT_COLUMNS = ("H", "N1", "N2", "N3", "L1", "L2", "L3", "Lsq", "C1", "C2",
+                     "D11", "D12", "D13", "D22", "D23", "D33")
+
+
+def _sample_by_sample(stretch, chart, params, mode):
+    """Each solver sample turned into a table column one state at a time:
+    lift or project it, then evaluate_invariants."""
+    charts, states, invariants = [], [], []
+    for t, y in zip(stretch.t, stretch.y.T):
+        if chart is not None:
+            state = PhaseState(ChartPoint(chart, y[0], y[1], y[2]), y[3], y[4], y[5])
+            ph = momentum_lift(state, params)
+        else:
+            y8 = dyn._project_constraint(y, params.radius, t)
+            ph = EmbeddingPhase(EmbeddingPoint(*y8[:4]), *y8[4:])
+            state = momentum_project(ph, chart_select(ph.z, params), params)
+        inv = evaluate_invariants(ph, params, mode.value)
+        g, d = inv.generators, inv.df.d
+        pt, z = state.point, ph.z
+        charts.append(pt.chart)
+        states.append((t, pt.q1, pt.q2, pt.phi, state.p1, state.p2, state.pphi,
+                       z.z0, z.z1, z.z2, z.z3, ph.p0, ph.p1, ph.p2, ph.p3))
+        invariants.append((inv.hamiltonian, g.n1, g.n2, g.n3, g.l1, g.l2, g.l3,
+                           inv.l_squared, inv.casimir1, inv.casimir2,
+                           d[0, 0], d[0, 1], d[0, 2], d[1, 1], d[1, 2], d[2, 2]))
+    return tuple(charts), np.array(states).T, np.array(invariants).T
+
+
+@pytest.mark.parametrize("fixture", ["case_a", "neg_l2_traj"])
+def test_sample_table_matches_sample_by_sample_assembly(fixture, params, request, monkeypatch):
+    ref = request.getfixturevalue(fixture)
+    stretches = []
+    real = dyn.solve_stretch
+
+    def recording(*args, **kwargs):
+        stretches.append(real(*args, **kwargs))
+        return stretches[-1]
+
+    monkeypatch.setattr(dyn, "solve_stretch", recording)
+    cfg = IntegrationConfig(t_span=(0.0, float(ref["traj"].times[-1])))
+    traj = integrate(ref["state"], params, cfg)
+    assert traj.chart is (ChartId.OUTER_PLUS if fixture == "case_a" else None)
+    charts, states, invariants = _sample_by_sample(stretches[0], traj.chart, params, traj.mode)
+    assert traj.charts == charts
+    names = ("t", "q1", "q2", "phi", "p1", "p2", "pphi",
+             "z0", "z1", "z2", "z3", "pz0", "pz1", "pz2", "pz3")
+    table = np.array([traj.column(name) for name in names])
+    assert table.tobytes() == states.tobytes()
+    # the table squares with numpy where evaluate_invariants calls pow: 2 ulp
+    got = np.array([traj.column(name) for name in INVARIANT_COLUMNS])
+    assert np.all(np.abs(got - invariants) <= 4.5e-16 * np.maximum(1.0, np.abs(invariants)))
 
 
 def test_trajectory_export_round_trip(case_a, tmp_path):
@@ -427,7 +511,7 @@ def test_trajectory_export_round_trip(case_a, tmp_path):
     rows = csv_path.read_text().strip().split("\n")
     header = rows[0].split(",")
     assert header[0] == "t"
-    assert len(rows) == len(traj.samples) + 1
+    assert len(rows) == traj.times.size + 1
     t_back = [float(r.split(",")[0]) for r in rows[1:]]
     npt.assert_allclose(t_back, traj.times, rtol=0, atol=0)  # full-precision dump
 
@@ -440,23 +524,28 @@ def test_csv_rows_match_fstring_join(case_a, tmp_path):
     traj = case_a["traj"]
     traj.to_csv(str(tmp_path / "t.csv"))
     traj.to_invariants_csv(str(tmp_path / "i.csv"))
-    full, inv = [], []
-    for s in traj.samples:
-        g, d, pt, z = s.invariants.generators, s.invariants.df.d, s.state.point, s.ambient.z
-        tail = [s.invariants.l_squared, s.invariants.casimir1, s.invariants.casimir2,
-                d[0, 0], d[0, 1], d[0, 2], d[1, 1], d[1, 2], d[2, 2]]
-        full.append([s.t, pt.chart.value, pt.q1, pt.q2, pt.phi, s.state.p1, s.state.p2,
-                     s.state.pphi, z.z0, z.z1, z.z2, z.z3, s.invariants.hamiltonian,
-                     g.l1, g.l2, g.l3] + tail)
-        inv.append([s.t, s.invariants.hamiltonian, g.n1, g.n2, g.n3, g.l1, g.l2, g.l3] + tail)
-    assert (tmp_path / "t.csv").read_text().splitlines()[1:] == _fstring_rows(full)
-    assert (tmp_path / "i.csv").read_text().splitlines()[1:] == _fstring_rows(inv)
+    tail = ["Lsq", "C1", "C2", "D11", "D12", "D13", "D22", "D23", "D33"]
+    full_names = (["t", "chart", "q1", "q2", "phi", "p1", "p2", "pphi", "z0", "z1", "z2", "z3",
+                   "H", "L1", "L2", "L3"] + tail)
+    inv_names = ["t", "H", "N1", "N2", "N3", "L1", "L2", "L3"] + tail
+
+    def rows(names):
+        cols = [[c.value for c in traj.charts] if name == "chart" else traj.column(name)
+                for name in names]
+        return [list(row) for row in zip(*cols)]
+
+    assert (tmp_path / "t.csv").read_text().splitlines() == (
+        [",".join(full_names)] + _fstring_rows(rows(full_names)))
+    assert (tmp_path / "i.csv").read_text().splitlines() == (
+        [",".join(inv_names)] + _fstring_rows(rows(inv_names)))
 
 
-def test_csv_row_format_on_special_values():
+def test_csv_row_format_on_special_values(tmp_path):
     special = (np.float64("nan"), math.inf, -np.inf, -0.0, np.float64(-0.0),
                np.float32(0.1), np.int64(7), 1.0 / 3.0, 5e-324, 1e22)
     row = (special * 3)[:24]
     values = (row[0], "outer_plus") + row[1:]
-    assert dyn._CSV_ROW % values == _fstring_rows([values])[0]
-    assert dyn._INVARIANTS_ROW % row[:17] == _fstring_rows([row[:17]])[0]
+    path = tmp_path / "row.csv"
+    for vals in (values, row[:17]):
+        dyn.write_table(str(path), [f"c{i}" for i in range(len(vals))], [[v] for v in vals])
+        assert path.read_text().splitlines()[1] == _fstring_rows([vals])[0]

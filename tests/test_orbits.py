@@ -245,9 +245,7 @@ def test_angular_solution_residual_on_trajectory(params, case_a):
     # case A lives on tau = 0; the relation degenerates to that branch
     traj = case_a["traj"]
     rel = angular_solution(case_a["l_sq"], 0.5)
-    q2 = [s.state.point.q2 for s in traj.samples]
-    phi = [s.state.point.phi for s in traj.samples]
-    assert rel.residual(np.array(q2), np.array(phi)) < 1e-9
+    assert rel.residual(traj.column("q2"), traj.column("phi")) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +405,11 @@ def test_zero_l2_corrected_coefficient_matches_numeric(params):
     assert abs(l_squared(st0)) < 1e-14
     traj = integrate(st0, params, IntegrationConfig(t_span=(0.0, 3.0)), Mode.OSCILLATOR)
     xs, cots = [], []
-    for s in traj.samples:
-        pt = s.state.point
-        if not pt.chart.is_outer or pt.q1 < 0.15:
+    for chart, q1, phi in zip(traj.charts, traj.column("q1"), traj.column("phi")):
+        if not chart.is_outer or q1 < 0.15:
             continue
-        xs.append(math.tan(pt.phi) / pphi)
-        cots.append(1.0 / math.tanh(pt.q1) ** 2)
+        xs.append(math.tan(phi) / pphi)
+        cots.append(1.0 / math.tanh(q1) ** 2)
     xs, cots = np.array(xs), np.array(cots)
     design = np.vstack([np.ones_like(xs), xs, xs * xs]).T
     (a, b, c), *_ = np.linalg.lstsq(design, cots, rcond=None)
@@ -494,11 +491,11 @@ def test_export_figures_rejects_unknown(params, tmp_path):
 
 
 def test_write_table_matches_fstring_join(tmp_path):
-    from hyposc.orbits import _write_table
+    from hyposc.dynamics import write_table
 
     rows = np.array([[np.nan, np.inf, -np.inf, -0.0],
                      [np.float32(0.1), 1.0 / 3.0, 5e-324, 1e22]])
     path = tmp_path / "table.csv"
-    _write_table(str(path), "a,b,c,d", rows)
+    write_table(str(path), ("a", "b", "c", "d"), rows.T)
     expected = ["a,b,c,d"] + [",".join(f"{v:.17g}" for v in row) for row in rows]
     assert path.read_text() == "\n".join(expected) + "\n"

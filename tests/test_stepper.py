@@ -103,13 +103,7 @@ def _bits(x):
 
 
 def _sample_rows(traj):
-    rows = []
-    for s in traj.samples:
-        pt, ph = s.state.point, s.ambient
-        rows.append((s.t, pt.chart, pt.q1, pt.q2, pt.phi, s.state.p1, s.state.p2, s.state.pphi,
-                     ph.z.z0, ph.z.z1, ph.z.z2, ph.z.z3, ph.p0, ph.p1, ph.p2, ph.p3,
-                     s.invariants.hamiltonian, s.invariants.l_squared))
-    return rows
+    return traj.charts, _bits(traj.table)
 
 
 def _ambient(traj, t):
