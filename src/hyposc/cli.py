@@ -396,6 +396,10 @@ def cmd_verify(suite: str, seed: int, n_points: Optional[int],
                tol: Optional[float], out_dir: Optional[str]) -> int:
     if n_points is not None and n_points < 1:
         raise ConfigError(f"--points must be >= 1, got {n_points}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ConfigError(f"--tol must be positive and finite, got {tol}")
     params = ModelParams()
     reports = []  # (name, passed, payload dict)
 

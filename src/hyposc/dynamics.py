@@ -199,14 +199,32 @@ def equations_of_motion(
     return PhaseDerivative(*rhs(0.0, y))
 
 
+def _float_rhs(body):
+    """rhs(t, y) = body(*y), evaluated on Python floats when y is an array.
+
+    Float arithmetic raises where numpy scalars give inf or nan (a division
+    by zero, or ** out of range); those states are evaluated again on the
+    numpy scalars, so results and exceptions are those of the scalar path.
+    """
+
+    def rhs(t, y):
+        if isinstance(y, np.ndarray):
+            try:
+                return body(*y.tolist())
+            except (ZeroDivisionError, OverflowError):
+                pass
+        return body(*y)
+
+    return rhs
+
+
 def _chart_rhs(is_outer: bool, params: ModelParams, mode: Mode):
     R2 = params.radius**2
     w2 = params.omega**2 * R2 if mode == Mode.OSCILLATOR else 0.0
 
     if is_outer:
 
-        def rhs(t, y):
-            q1, q2, p1, p2, pphi = y[0], y[1], y[3], y[4], y[5]
+        def outer(q1, q2, phi, p1, p2, pphi):
             sh, ch = math.sinh(q1), math.cosh(q1)
             if p2 == 0.0 and pphi == 0.0:
                 dp1 = -w2 * sh / ch**3
@@ -224,10 +242,9 @@ def _chart_rhs(is_outer: bool, params: ModelParams, mode: Mode):
                 0.0,
             )
 
-        return rhs
+        return _float_rhs(outer)
 
-    def rhs(t, y):
-        q1, q2, p1, p2, pphi = y[0], y[1], y[3], y[4], y[5]
+    def inner(q1, q2, phi, p1, p2, pphi):
         sn, cn = math.sin(q1), math.cos(q1)
         if p2 == 0.0 and pphi == 0.0:
             return (-p1 / R2, 0.0, 0.0, w2 * sn / cn**3, 0.0, 0.0)
@@ -254,7 +271,7 @@ def _chart_rhs(is_outer: bool, params: ModelParams, mode: Mode):
             0.0,
         )
 
-    return rhs
+    return _float_rhs(inner)
 
 
 def _radial_force_scale(is_outer: bool, y, params: ModelParams, mode: Mode) -> float:
@@ -291,8 +308,7 @@ def _ambient_rhs(params: ModelParams, mode: Mode):
     R2 = params.radius**2
     w = 0.5 * params.omega**2 * R2 if mode == Mode.OSCILLATOR else 0.0
 
-    def rhs(t, y):
-        z0, z1, z2, z3, p0, p1, p2, p3 = y
+    def ambient(z0, z1, z2, z3, p0, p1, p2, p3):
         lam = (-p0 * p0 - p1 * p1 + p2 * p2 + p3 * p3) / R2
         if w != 0.0:
             z0sq = z0 * z0
@@ -314,7 +330,7 @@ def _ambient_rhs(params: ModelParams, mode: Mode):
             -g3 + lam * z3,
         )
 
-    return rhs
+    return _float_rhs(ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +405,10 @@ def _check_drift(t, y8: np.ndarray, radius: float):
 # and Brent's root finder (Brent, Algorithms for Minimization without
 # Derivatives, 1973), ported from scipy 1.17.1: integrate/_ivp/rk.py,
 # common.py and dop853_coefficients.py, and optimize/Zeros/brentq.c.  The
-# port makes the same numpy calls in the same order, so its steps, samples
-# and roots are bit-identical to scipy's DOP853 and brentq.  Unlike scipy it
-# builds a step's three extra dense stages only when something evaluates
-# that step's interpolant.
+# port makes the same floating-point operations in the same order, so its
+# steps, samples and roots are bit-identical to scipy's DOP853 and brentq.
+# Unlike scipy it builds a step's three extra dense stages only when
+# something evaluates that step's interpolant.
 #
 # Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
 # All rights reserved.
@@ -595,8 +611,9 @@ def _error_norm(K, h, scale):
     """The two-norm of the 5th- and 3rd-order error estimates, blended."""
     err5 = np.dot(K.T, _E5) / scale
     err3 = np.dot(K.T, _E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
+    # math.sqrt(x.dot(x)) is np.linalg.norm of a 1-D array, without its overhead
+    err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+    err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
@@ -613,6 +630,11 @@ class _Rhs:
     def __call__(self, t, y):
         self.nfev += 1
         return np.asarray(self.fun(t, y), dtype=float)
+
+    def into(self, row, t, y):
+        """Write fun(t, y) into the array row ``row``."""
+        self.nfev += 1
+        row[...] = self.fun(t, y)
 
 
 class _DenseStep:
@@ -634,7 +656,7 @@ class _DenseStep:
         K, h, y_old = self.K, self.h, self.y_old
         for s, (a, c) in enumerate(_DENSE_STAGES, start=13):
             dy = np.dot(K[:s].T, a) * h
-            K[s] = self.fun(self.t_old + c * h, y_old + dy)
+            self.fun.into(K[s], self.t_old + c * h, y_old + dy)
         F = np.empty((7, y_old.size))
         f_old = K[0]
         delta_y = self.y - y_old
@@ -796,7 +818,7 @@ def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, max_step=math.inf,
             K[0] = f
             for s, (a, c) in enumerate(_STEP_STAGES, start=1):
                 dy = np.dot(K[:s].T, a) * h
-                K[s] = fun(t + c * h, y + dy)
+                fun.into(K[s], t + c * h, y + dy)
             y_new = y + h * np.dot(K[:12].T, _B)
             f_new = fun(t + h, y_new)
             K[12] = f_new

@@ -5,7 +5,10 @@ with two independent derivative backends: forward-mode dual numbers (exact to
 roundoff, the default) and 4th-order central finite differences.  Sweeps over
 reproducible pseudo-random states machine-check the generator algebra and the
 full quadratic algebra of the symmetry tensor, reporting per-relation maximum
-residuals.
+residuals.  A sweep evaluates all its states in each kernel pass: the
+generator sweep makes 6 dual passes over the six generators alone, the
+tensor sweep 6 dual passes and 1 finite-difference pass over the whole
+observable library.
 
 Convention note: the sweep of the tensor algebra states its relations in the
 angular-momentum sign convention fixed by L1 = +p_phi on the outer chart
@@ -28,7 +31,7 @@ from .dynamics import atomic_write_text
 from .geometry import TWO_PI, ChartId, ChartPoint, ModelParams, PhaseState, lift_coords
 # the single-state view, kept reachable here (bench/tracer.py wraps it)
 from .geometry import momentum_lift  # noqa: F401
-from .invariants import invariant_coords
+from .invariants import ambient_generators, invariant_coords
 
 COORD_NAMES = ("q1", "q2", "phi", "p1", "p2", "pphi")
 # Step factor for the 4th-order stencil, h = FD_STEP * max(1, |x|).  The
@@ -97,6 +100,12 @@ def _library_values(chart: ChartId, coords, params: ModelParams) -> dict:
     return out
 
 
+def _generator_values(chart: ChartId, coords, params: ModelParams) -> dict:
+    """The six so(2,2) generators alone, as `_library_values` computes them."""
+    y = lift_coords(chart, coords, params.radius)
+    return dict(zip(("N1", "N2", "N3", "L1", "L2", "L3"), ambient_generators(y[:4], y[4:])))
+
+
 def _library_observable(name: str) -> Observable:
     def evaluator(state, params, _name=name):
         return _library_values(state.point.chart, _scalars(state), params)[_name]
@@ -140,28 +149,35 @@ def _gradient_table(values, coords, backend: str) -> dict:
 
     ``coords`` holds floats for one state or (N,) arrays for a batch of N
     states; each table entry then has shape (6,) or (6, N).
-    The dual backend makes one pass per coordinate, the finite-difference
-    backend one per coordinate and stencil point.  A single state is the
-    N = 1 case of the sweeps, carried as floats.
+    The dual backend makes one pass per coordinate.  The finite-difference
+    backend makes one pass in all: every coordinate j is handed to ``values``
+    as a (len(FD_STENCIL), 6) + shape array whose [k, i] entry belongs to the
+    copy of the batch with coordinate i moved to stencil point k.  A single
+    state is the N = 1 case of the sweeps, carried as floats.
     """
     if backend not in ("dual", "fd"):
         raise ValueError(f"unknown backend {backend!r} (use 'auto', 'dual' or 'fd')")
-    table = defaultdict(lambda: np.zeros((6,) + np.shape(coords[0])))
-    for i, x in enumerate(coords):
-        seeded = list(coords)
-        if backend == "dual":
+    if backend == "dual":
+        table = defaultdict(lambda: np.zeros((6,) + np.shape(coords[0])))
+        for i, x in enumerate(coords):
+            seeded = list(coords)
             seeded[i] = Dual(x, 1.0)
             for name, v in values(seeded).items():
                 table[name][i] = v.im if isinstance(v, Dual) else 0.0
-            continue
-        h = FD_STEP * np.maximum(1.0, np.abs(x))
-        sums = defaultdict(float)
-        for k, weight in FD_STENCIL:
-            seeded[i] = x + k * h
-            for name, v in values(seeded).items():
-                sums[name] = sums[name] + weight * v
-        for name, total in sums.items():
-            table[name][i] = total / (12.0 * h)
+        return table
+    stencil = FD_STENCIL
+    x = np.array(coords, dtype=float)
+    h = FD_STEP * np.maximum(1.0, np.abs(x))
+    offsets = np.array([k for k, _ in stencil]).reshape((-1,) + (1,) * (x.ndim - 1))
+    stacked = [np.broadcast_to(xj, (len(stencil), 6) + xj.shape).copy() for xj in x]
+    for i, xi in enumerate(x):
+        stacked[i][:, i] = xi + offsets * h[i]
+    table = {}
+    for name, v in values(stacked).items():
+        total = 0.0
+        for k, (_, weight) in enumerate(stencil):
+            total = total + weight * v[k]
+        table[name] = total / (12.0 * h)
     return table
 
 
@@ -187,7 +203,13 @@ def bracket(f: Observable, g: Observable, state: PhaseState, params: ModelParams
             raise ValueError(f"observable {obs.name!r} does not support the dual backend")
 
         def values(c, _obs=obs):
-            return {_obs.name: _obs.evaluator(_state_from(chart, c), params)}
+            if not isinstance(c[0], np.ndarray):
+                return {_obs.name: _obs.evaluator(_state_from(chart, c), params)}
+            # stacked finite-difference states: one float evaluation each,
+            # since the observable may accept floats only
+            rows = np.stack(c, axis=-1).reshape(-1, 6).tolist()
+            out = [_obs.evaluator(_state_from(chart, row), params) for row in rows]
+            return {_obs.name: np.reshape(out, c[0].shape)}
 
         grads.append(_gradient_table(values, coords, chosen)[obs.name])
     val = float(_symplectic_pair(*grads))
@@ -321,9 +343,11 @@ class BracketReport:
         return "\n".join(lines)
 
 
-def _sweep(coords, params, relations, backends):
+def _sweep(kernel, coords, params, relations, backends):
     """Max residual (first backend) and max cross-backend gap per relation.
 
+    kernel: `_library_values` or `_generator_values`, whichever holds every
+    observable the relations read.
     coords: (6, N) outer-chart coordinates, one state per column.
     relations: sequence of (a_name, b_name, rhs_fn) with rhs_fn(values,
     params) the expected bracket value, per state.  The gap of a state is
@@ -333,7 +357,7 @@ def _sweep(coords, params, relations, backends):
     """
 
     def values(c):
-        return _library_values(SAMPLE_CHART, c, params)
+        return kernel(SAMPLE_CHART, c, params)
 
     vals = values(coords)
     tables = [_gradient_table(values, coords, b) for b in backends]
@@ -395,7 +419,7 @@ def verify_so22(params: Optional[ModelParams] = None, n_points: int = 1000,
         else:
             relations.append((a, b, lambda v, p, c=coeff, t=target: c * v[t]))
 
-    res, _ = _sweep(coords, params, relations, (backend,))
+    res, _ = _sweep(_generator_values, coords, params, relations, (backend,))
     checks = tuple(
         BracketCheck(
             lhs=f"{{{a}, {b}}}",
@@ -538,7 +562,7 @@ def verify_df_algebra(params: Optional[ModelParams] = None, n_points: int = 64,
                      "fitted coefficients"))
 
     relations = [(a, b, fn) for a, b, _, fn, _, _, _ in rows]
-    res, gap = _sweep(coords, params, relations, ("dual", "fd"))
+    res, gap = _sweep(_library_values, coords, params, relations, ("dual", "fd"))
 
     checks = []
     for j, (a, b, name, _, row_tol, flagged, note) in enumerate(rows):

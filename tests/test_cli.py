@@ -184,6 +184,23 @@ def test_verify_nonpositive_points_is_a_config_error(suite, points, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("suite", ["so22", "appendix_a", "identities", "all"])
+def test_verify_negative_seed_is_a_config_error(suite, capsys):
+    assert main(["verify", suite, "--seed", "-1", "--points", "4"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "config error: --seed must be >= 0, got -1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("suite", ["so22", "appendix_a", "identities", "all"])
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf", "-inf"])
+def test_verify_tolerance_outside_positive_finite_is_a_config_error(suite, tol, capsys):
+    assert main(["verify", suite, f"--tol={tol}", "--points", "4"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: --tol must be positive and finite, got {float(tol)}\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # classify command
 # ---------------------------------------------------------------------------

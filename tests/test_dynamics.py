@@ -131,6 +131,70 @@ def test_eom_energy_gradient_consistency(params):
 # ---------------------------------------------------------------------------
 
 
+# one state per branch of the chart right-hand side
+_CHART_RHS_STATES = {
+    "outer radial": (True, [0.8, 0.3, 1.1, 0.4, 0.0, 0.0]),
+    "outer angular": (True, [0.8, 0.3, 1.1, 0.4, -0.6, 0.5]),
+    "inner radial": (False, [0.5, 0.7, 2.0, -0.3, 0.0, 0.0]),
+    "inner without p_phi": (False, [0.5, 0.7, 2.0, -0.3, 0.45, 0.0]),
+    "inner with p_phi": (False, [-0.5, 0.7, 2.0, -0.3, 0.45, 0.25]),
+}
+_AMBIENT_Y = [1.3, 0.4, 0.6, 0.5, 0.2, -0.1, 0.3, 0.7]
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _scalar_reference(rhs, y):
+    """rhs on numpy scalars, as it evaluated before the float fast path."""
+    return rhs(0.0, [np.float64(v) for v in y])
+
+
+@pytest.mark.parametrize("mode", [Mode.OSCILLATOR, Mode.FREE])
+@pytest.mark.parametrize("branch", sorted(_CHART_RHS_STATES))
+def test_chart_rhs_on_floats_matches_numpy_scalars(branch, mode):
+    is_outer, y = _CHART_RHS_STATES[branch]
+    rhs = dyn._chart_rhs(is_outer, ModelParams(2.0, 0.5), mode)
+    expected = _scalar_reference(rhs, y)
+    for arg in (np.array(y), list(y)):
+        out = rhs(0.0, arg)
+        assert isinstance(out, tuple) and len(out) == 6
+        assert _bits(out) == _bits(expected)
+
+
+@pytest.mark.parametrize("mode", [Mode.OSCILLATOR, Mode.FREE])
+def test_ambient_rhs_on_floats_matches_numpy_scalars(mode):
+    rhs = dyn._ambient_rhs(ModelParams(2.0, 0.5), mode)
+    expected = _scalar_reference(rhs, _AMBIENT_Y)
+    for arg in (np.array(_AMBIENT_Y), list(_AMBIENT_Y)):
+        out = rhs(0.0, arg)
+        assert isinstance(out, tuple) and len(out) == 8
+        assert _bits(out) == _bits(expected)
+
+
+@pytest.mark.parametrize("rhs, y", [
+    (dyn._ambient_rhs(ModelParams(), Mode.OSCILLATOR), [0.0] + _AMBIENT_Y[1:]),
+    (dyn._chart_rhs(False, ModelParams(), Mode.OSCILLATOR), [0.5, 0.0, 2.0, -0.3, 0.45, 0.25]),
+])
+def test_rhs_division_by_zero_gives_inf_and_nan(rhs, y):
+    # z0 = 0 (ambient) and mu = 0 with p_phi != 0 (inner chart) divide by
+    # zero: numpy scalars give inf and nan there, and so must the fast path
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = rhs(0.0, np.array(y))
+        expected = _scalar_reference(rhs, y)
+    assert not np.all(np.isfinite(out))
+    assert _bits(out) == _bits(expected)
+
+
+def test_rhs_overflow_still_raises():
+    # cosh(300)**3 is out of range for a float on both paths
+    rhs = dyn._chart_rhs(True, ModelParams(), Mode.OSCILLATOR)
+    for arg in (np.array([300.0, 0.0, 0.0, 0.1, 0.0, 0.0]), [300.0, 0.0, 0.0, 0.1, 0.0, 0.0]):
+        with pytest.raises(OverflowError):
+            rhs(0.0, arg)
+
+
 def test_integration_config_validation():
     with pytest.raises(ValueError):
         IntegrationConfig(rel_tol=0.0)

@@ -184,3 +184,100 @@ def test_df_backend_check_rejects_wrong_stencil(params, monkeypatch):
     assert not rep.passed
     regular = [p for p in rep.pairs if not p.flagged]
     assert all(p.backend_gap > 1e-3 and not p.passed for p in regular)
+
+
+def _fd_reference(values, coords, stencil):
+    """Finite-difference gradient table, one pass per coordinate and stencil point."""
+    from hyposc.poisson import FD_STEP
+
+    table = {}
+    for i, x in enumerate(coords):
+        seeded = list(coords)
+        h = FD_STEP * np.maximum(1.0, np.abs(x))
+        sums = {}
+        for k, weight in stencil:
+            seeded[i] = x + k * h
+            for name, v in values(seeded).items():
+                sums[name] = sums.get(name, 0.0) + weight * v
+        for name, total in sums.items():
+            table.setdefault(name, np.zeros((6,) + np.shape(coords[0])))[i] = total / (12.0 * h)
+    return table
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_WRONG_STENCIL = ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, 1.0))
+
+
+@pytest.mark.parametrize("omega, radius", [(1.0, 1.0), (2.0, 0.5)])
+@pytest.mark.parametrize("wrong_stencil", [False, True])
+def test_stacked_fd_pass_matches_per_pass_loop(omega, radius, wrong_stencil, monkeypatch):
+    import hyposc.poisson as poisson
+
+    if wrong_stencil:
+        monkeypatch.setattr(poisson, "FD_STENCIL", _WRONG_STENCIL)
+    params = ModelParams(omega, radius)
+    for seed in (0, 1, 2):
+        coords = list(poisson.sample_coords(24, seed))
+
+        def values(c):
+            return poisson._library_values(poisson.SAMPLE_CHART, c, params)
+
+        stacked = poisson._gradient_table(values, coords, "fd")
+        reference = _fd_reference(values, coords, poisson.FD_STENCIL)
+        assert stacked.keys() == reference.keys()
+        for name in reference:
+            assert _same_bits(stacked[name], reference[name]), name
+
+
+@pytest.mark.parametrize("omega, radius", [(1.0, 1.0), (2.0, 0.5)])
+@pytest.mark.parametrize("backend", ["dual", "fd"])
+def test_generator_kernel_matches_library_kernel(omega, radius, backend):
+    import hyposc.poisson as poisson
+
+    params = ModelParams(omega, radius)
+    coords = list(poisson.sample_coords(24, 4))
+    kernels = (poisson._generator_values, poisson._library_values)
+    vals = [k(poisson.SAMPLE_CHART, coords, params) for k in kernels]
+    tables = [
+        poisson._gradient_table(lambda c, k=k: k(poisson.SAMPLE_CHART, c, params), coords, backend)
+        for k in kernels
+    ]
+    assert set(vals[0]) == {"L1", "L2", "L3", "N1", "N2", "N3"}
+    for name in vals[0]:
+        assert _same_bits(vals[0][name], vals[1][name]), name
+        assert _same_bits(tables[0][name], tables[1][name]), name
+
+
+@pytest.mark.parametrize("wrong_stencil", [False, True])
+def test_fd_bracket_of_float_only_observables_matches_per_pass_loop(
+        params, wrong_stencil, monkeypatch):
+    import hyposc.poisson as poisson
+
+    if wrong_stencil:
+        monkeypatch.setattr(poisson, "FD_STENCIL", _WRONG_STENCIL)
+    f = Observable(
+        "f",
+        lambda st, par: math.sinh(st.point.q1) * math.cos(st.point.phi) * st.p2
+        + st.pphi**2 * math.cosh(st.point.q2) / par.radius,
+        supports_duals=False,
+    )
+    g = Observable(
+        "g", lambda st, par: float(np.cosh(st.point.q1)) * st.p1 - st.point.q2 * st.pphi,
+        supports_duals=False,
+    )
+    for st in sample_states(6, seed=9):
+        coords = [float(c) for c in poisson._scalars(st)]
+        grads = [
+            _fd_reference(
+                lambda c, o=obs: {o.name: o.evaluator(poisson._state_from(st.point.chart, c),
+                                                      params)},
+                coords, poisson.FD_STENCIL)[obs.name]
+            for obs in (f, g)
+        ]
+        expected = float(poisson._symplectic_pair(*grads))
+        assert _same_bits(bracket(f, g, st, params, backend="fd"), expected)
+        assert _same_bits(bracket(f, g, st, params), expected)  # auto picks fd
