@@ -400,6 +400,12 @@ def cmd_verify(suite: str, seed: int, n_points: Optional[int],
         raise ConfigError(f"--seed must be >= 0, got {seed}")
     if tol is not None and not 0.0 < tol < math.inf:
         raise ConfigError(f"--tol must be positive and finite, got {tol}")
+    if tol is not None and suite == "identities":
+        fixed = ", ".join(f"{t:g}" for t in sorted({t for _, t in IDENTITIES if t is not None}))
+        raise ConfigError(
+            f"--tol does not apply to identities, whose tolerances are fixed "
+            f"relative to each state's scale ({fixed})"
+        )
     params = ModelParams()
     reports = []  # (name, passed, payload dict)
 
@@ -485,7 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("suite", choices=("so22", "appendix_a", "identities", "all"))
     ver.add_argument("--seed", type=int, default=42)
     ver.add_argument("--points", type=int, default=None, help="sample states per sweep")
-    ver.add_argument("--tol", type=float, default=None, help="pass tolerance override")
+    ver.add_argument("--tol", type=float, default=None,
+                     help="pass tolerance override for so22 and appendix_a; identities keeps "
+                     "its fixed relative tolerances, and rejects --tol when run alone")
     ver.add_argument("--out", default=None, help="also write JSON reports here")
 
     fig = sub.add_parser("figure", help="emit figure datasets as CSV")

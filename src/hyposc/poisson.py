@@ -6,9 +6,12 @@ roundoff, the default) and 4th-order central finite differences.  Sweeps over
 reproducible pseudo-random states machine-check the generator algebra and the
 full quadratic algebra of the symmetry tensor, reporting per-relation maximum
 residuals.  A sweep evaluates all its states in each kernel pass: the
-generator sweep makes 6 dual passes over the six generators alone, the
-tensor sweep 6 dual passes and 1 finite-difference pass over the whole
-observable library.
+generator sweep makes 3 dual passes over the six generators alone, the
+tensor sweep 3 dual passes and 1 finite-difference pass per block of at most
+`BLOCK` states over Lt1-Lt3 and D11-D33 alone.  One dual pass carries the
+tangents of phi, p1, p2 and pphi together; it gives the same bits as one
+pass per coordinate because no denominator depends on phi or the momenta
+(see `_gradient_table`).  Derivatives are exact to roundoff either way.
 
 Convention note: the sweep of the tensor algebra states its relations in the
 angular-momentum sign convention fixed by L1 = +p_phi on the outer chart
@@ -31,7 +34,7 @@ from .dynamics import atomic_write_text
 from .geometry import TWO_PI, ChartId, ChartPoint, ModelParams, PhaseState, lift_coords
 # the single-state view, kept reachable here (bench/tracer.py wraps it)
 from .geometry import momentum_lift  # noqa: F401
-from .invariants import ambient_generators, invariant_coords
+from .invariants import ambient_generators, df_components, invariant_coords
 
 COORD_NAMES = ("q1", "q2", "phi", "p1", "p2", "pphi")
 # Step factor for the 4th-order stencil, h = FD_STEP * max(1, |x|).  The
@@ -42,6 +45,9 @@ COORD_NAMES = ("q1", "q2", "phi", "p1", "p2", "pphi")
 FD_STEP = 2e-4
 # (offset in units of h, weight over 12 h) of the 4th-order central stencil
 FD_STENCIL = ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, -1.0))
+# states per finite-difference pass and per block of the relation pass; each
+# operation acts on one state, so blocking changes no value
+BLOCK = 512
 
 DEFAULT_TOL = 1e-6
 BACKEND_TOL = 1e-7
@@ -106,6 +112,16 @@ def _generator_values(chart: ChartId, coords, params: ModelParams) -> dict:
     return dict(zip(("N1", "N2", "N3", "L1", "L2", "L3"), ambient_generators(y[:4], y[4:])))
 
 
+def _tensor_values(chart: ChartId, coords, params: ModelParams) -> dict:
+    """Lt1-Lt3 and D11-D33 alone, as `_library_values` computes them."""
+    y = lift_coords(chart, coords, params.radius)
+    n1, n2, n3, l1, l2, l3 = ambient_generators(y[:4], y[4:])
+    out = {"Lt1": -l1, "Lt2": l2, "Lt3": -l3}
+    out.update(zip(("D11", "D12", "D13", "D22", "D23", "D33"),
+                   df_components(y[:4], (n1, n2, n3), params)))
+    return out
+
+
 def _library_observable(name: str) -> Observable:
     def evaluator(state, params, _name=name):
         return _library_values(state.point.chart, _scalars(state), params)[_name]
@@ -149,22 +165,47 @@ def _gradient_table(values, coords, backend: str) -> dict:
 
     ``coords`` holds floats for one state or (N,) arrays for a batch of N
     states; each table entry then has shape (6,) or (6, N).
-    The dual backend makes one pass per coordinate.  The finite-difference
-    backend makes one pass in all: every coordinate j is handed to ``values``
-    as a (len(FD_STENCIL), 6) + shape array whose [k, i] entry belongs to the
-    copy of the batch with coordinate i moved to stencil point k.  A single
-    state is the N = 1 case of the sweeps, carried as floats.
+
+    The dual backend makes 3 passes: one carrying the tangents of phi, p1,
+    p2 and pphi together as a (4,) + shape array (vector forward mode), then
+    one each for q1 and q2 with tangent 1.0.  The wide pass runs first, before
+    the table is allocated, which lowers the peak memory of large batches.
+    In a pass, +, - and * with a zero tangent round as the plain operation
+    does, up to the sign of a zero, but Dual/Dual division rounds unlike
+    Dual/plain.  No denominator of the library (sinh r and cosh tau in the
+    lift, z0^2 in D and the potential) depends on phi or the momenta, so
+    every division of the wide pass takes the Dual/plain branch and the table
+    holds the bits of one pass per coordinate, up to the sign of zeros.  (A
+    dual's integer power is a repeated product, which a plain power may round
+    otherwise; the library's powers are squares that feed sums only.)  The
+    derivatives are exact either way.
+
+    The finite-difference backend makes one pass per block of at most
+    `BLOCK` states: every coordinate j is handed to ``values`` as a
+    (len(FD_STENCIL), 6) + block shape array whose [k, i] entry belongs to
+    the copy of the block with coordinate i moved to stencil point k.  A
+    single state is the N = 1 case of the sweeps, carried as floats.
     """
     if backend not in ("dual", "fd"):
         raise ValueError(f"unknown backend {backend!r} (use 'auto', 'dual' or 'fd')")
+    shape = np.shape(coords[0])
     if backend == "dual":
-        table = defaultdict(lambda: np.zeros((6,) + np.shape(coords[0])))
-        for i, x in enumerate(coords):
+        # the wide pass's tangents are read-only views, immutable like 1.0
+        eye = np.eye(4).reshape((4, 4) + (1,) * len(shape))
+        wide = [(2 + j, np.broadcast_to(eye[j], (4,) + shape)) for j in range(4)]
+        passes = ((slice(2, 6), wide), (0, [(0, 1.0)]), (1, [(1, 1.0)]))
+        table = defaultdict(lambda: np.zeros((6,) + shape))
+        for rows, tangents in passes:
             seeded = list(coords)
-            seeded[i] = Dual(x, 1.0)
+            for i, tangent in tangents:
+                seeded[i] = Dual(coords[i], tangent)
             for name, v in values(seeded).items():
-                table[name][i] = v.im if isinstance(v, Dual) else 0.0
+                table[name][rows] = v.im if isinstance(v, Dual) else 0.0
         return table
+    if shape and shape[0] > BLOCK:
+        blocks = [_gradient_table(values, [x[s:s + BLOCK] for x in coords], "fd")
+                  for s in range(0, shape[0], BLOCK)]
+        return {name: np.concatenate([b[name] for b in blocks], axis=-1) for name in blocks[0]}
     stencil = FD_STENCIL
     x = np.array(coords, dtype=float)
     h = FD_STEP * np.maximum(1.0, np.abs(x))
@@ -182,11 +223,31 @@ def _gradient_table(values, coords, backend: str) -> dict:
 
 
 def _symplectic_pair(gf, gg):
-    return (
-        gf[0] * gg[3] - gg[0] * gf[3]
-        + gf[1] * gg[4] - gg[1] * gf[4]
-        + gf[2] * gg[5] - gg[2] * gf[5]
-    )
+    """sum_i (gf[i] gg[3+i] - gg[i] gf[3+i]), summed left to right.
+
+    Each component is read once, and an array sum is accumulated in place.
+    """
+    out = gf[0] * gg[3]
+    out -= gg[0] * gf[3]
+    out += gf[1] * gg[4]
+    out -= gg[1] * gf[4]
+    out += gf[2] * gg[5]
+    out -= gg[2] * gf[5]
+    return out
+
+
+class _Rows:
+    """Rows ``index`` of each component in ``comps``, gathered as they are read.
+
+    Handed to `_symplectic_pair`, each gathered block lives only until its
+    product is taken, which keeps the relation pass's memory small.
+    """
+
+    def __init__(self, comps, index):
+        self.comps, self.index = comps, index
+
+    def __getitem__(self, c):
+        return self.comps[c][self.index]
 
 
 def bracket(f: Observable, g: Observable, state: PhaseState, params: ModelParams,
@@ -346,7 +407,7 @@ class BracketReport:
 def _sweep(kernel, coords, params, relations, backends):
     """Max residual (first backend) and max cross-backend gap per relation.
 
-    kernel: `_library_values` or `_generator_values`, whichever holds every
+    kernel: `_generator_values` or `_tensor_values`, whichever holds every
     observable the relations read.
     coords: (6, N) outer-chart coordinates, one state per column.
     relations: sequence of (a_name, b_name, rhs_fn) with rhs_fn(values,
@@ -354,21 +415,36 @@ def _sweep(kernel, coords, params, relations, backends):
     |{a, b}_first - {a, b}_second| / max(1, |grad a| |grad b|): the bracket
     pairs the two gradients, so its finite-difference error scales with the
     product of their sizes.
+
+    All relations are evaluated together, over blocks of at most `BLOCK`
+    states: each backend's gradients are stacked component-major, as six
+    (n_obs, N) arrays, and gathered per relation once per block.
     """
 
     def values(c):
         return kernel(SAMPLE_CHART, c, params)
 
     vals = values(coords)
-    tables = [_gradient_table(values, coords, b) for b in backends]
+    names = list(dict.fromkeys(n for a, b, _ in relations for n in (a, b)))
+    ia = np.array([names.index(a) for a, _, _ in relations])
+    ib = np.array([names.index(b) for _, b, _ in relations])
+    rhs = np.empty((len(relations), coords.shape[1]))
+    for j, (_, _, rhs_fn) in enumerate(relations):
+        rhs[j] = rhs_fn(vals, params)
+    grads = [np.stack([t[n] for n in names], axis=1)  # (6, n_obs, N)
+             for t in (_gradient_table(values, coords, b) for b in backends)]
     res = np.zeros(len(relations))
     gap = np.zeros(len(relations))
-    for j, (a, b, rhs_fn) in enumerate(relations):
-        lhs = [_symplectic_pair(t[a], t[b]) for t in tables]
-        res[j] = np.max(np.abs(lhs[0] - rhs_fn(vals, params)))
+    for start in range(0, coords.shape[1], BLOCK):
+        comps = [g[:, :, start:start + BLOCK] for g in grads]
+        lhs = [_symplectic_pair(_Rows(c, ia), _Rows(c, ib)) for c in comps]
+        dev = lhs[0] - rhs[:, start:start + BLOCK]
+        res = np.maximum(res, np.max(np.abs(dev, out=dev), axis=1))
         if len(lhs) > 1:
-            size = np.linalg.norm(tables[0][a], axis=0) * np.linalg.norm(tables[0][b], axis=0)
-            gap[j] = np.max(np.abs(lhs[0] - lhs[1]) / np.maximum(1.0, size))
+            norm = np.linalg.norm(comps[0], axis=0)  # (n_obs, block)
+            dev = lhs[0] - lhs[1]
+            dev = np.abs(dev, out=dev) / np.maximum(1.0, norm[ia] * norm[ib])
+            gap = np.maximum(gap, np.max(dev, axis=1))
     return res, gap
 
 
@@ -562,7 +638,7 @@ def verify_df_algebra(params: Optional[ModelParams] = None, n_points: int = 64,
                      "fitted coefficients"))
 
     relations = [(a, b, fn) for a, b, _, fn, _, _, _ in rows]
-    res, gap = _sweep(_library_values, coords, params, relations, ("dual", "fd"))
+    res, gap = _sweep(_tensor_values, coords, params, relations, ("dual", "fd"))
 
     checks = []
     for j, (a, b, name, _, row_tol, flagged, note) in enumerate(rows):

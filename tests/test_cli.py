@@ -201,6 +201,29 @@ def test_verify_tolerance_outside_positive_finite_is_a_config_error(suite, tol, 
     assert captured.out == ""
 
 
+def test_verify_identities_rejects_tolerance(capsys):
+    # its tolerances are fixed relative to each state's scale
+    assert main(["verify", "identities", "--points", "50", "--tol", "1e-300"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "config error: --tol does not apply to identities, whose tolerances are fixed "
+        "relative to each state's scale (1e-10, 1e-09)\n"
+    )
+    assert captured.out == ""
+
+
+def test_verify_all_applies_tolerance_to_bracket_sweeps(tmp_path, capsys):
+    out = tmp_path / "verify"
+    assert main(["verify", "all", "--points", "8", "--tol", "1e-300", "--out", str(out)]) \
+        == EXIT_NUMERIC
+    for name in ("so22", "appendix_a"):
+        report = json.loads((out / f"{name}.json").read_text())
+        assert report["tolerance"] == 1e-300 and not report["passed"]
+    identities = json.loads((out / "identities.json").read_text())
+    assert [c["tol"] for c in identities["checks"]] == [1e-10, 1e-9, 1e-9, 1e-9, None]
+    assert identities["passed"]
+
+
 # ---------------------------------------------------------------------------
 # classify command
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from hyposc.duals import Dual
 from hyposc.dynamics import equations_of_motion
 from hyposc.geometry import ChartId, ChartPoint, ModelParams, PhaseState
 from hyposc.poisson import (
@@ -281,3 +282,144 @@ def test_fd_bracket_of_float_only_observables_matches_per_pass_loop(
         expected = float(poisson._symplectic_pair(*grads))
         assert _same_bits(bracket(f, g, st, params, backend="fd"), expected)
         assert _same_bits(bracket(f, g, st, params), expected)  # auto picks fd
+
+
+def _dual_reference(values, coords):
+    """Dual gradient table, one pass per coordinate with tangent 1.0."""
+    table = {}
+    for i, x in enumerate(coords):
+        seeded = list(coords)
+        seeded[i] = Dual(x, 1.0)
+        for name, v in values(seeded).items():
+            row = v.im if isinstance(v, Dual) else 0.0
+            table.setdefault(name, np.zeros((6,) + np.shape(coords[0])))[i] = row
+    return table
+
+
+_KERNELS = ("_generator_values", "_tensor_values", "_library_values")
+
+
+@pytest.mark.parametrize("omega, radius", [(1.0, 1.0), (2.0, 0.5)])
+@pytest.mark.parametrize("kernel", _KERNELS)
+def test_three_dual_passes_match_one_pass_per_coordinate(omega, radius, kernel):
+    # the wide pass differs from one pass per coordinate at most in the sign
+    # of zeros, which compare equal
+    import hyposc.poisson as poisson
+
+    params = ModelParams(omega, radius)
+    fn = getattr(poisson, kernel)
+
+    def values(c):
+        return fn(poisson.SAMPLE_CHART, c, params)
+
+    for seed in (0, 1, 2):
+        coords = poisson.sample_coords(24, seed)
+        batches = [list(coords)] + [[float(x) for x in coords[:, j]] for j in (0, 11, 23)]
+        for batch in batches:
+            table = poisson._gradient_table(values, batch, "dual")
+            reference = _dual_reference(values, batch)
+            assert table.keys() == reference.keys()
+            for name in reference:
+                assert table[name].shape == reference[name].shape
+                assert np.array_equal(table[name], reference[name]), name
+
+
+@pytest.mark.parametrize("omega, radius", [(1.0, 1.0), (2.0, 0.5)])
+@pytest.mark.parametrize("backend", ["dual", "fd"])
+def test_tensor_kernel_matches_library_kernel(omega, radius, backend):
+    import hyposc.poisson as poisson
+
+    params = ModelParams(omega, radius)
+    coords = list(poisson.sample_coords(24, 6))
+    kernels = (poisson._tensor_values, poisson._library_values)
+    vals = [k(poisson.SAMPLE_CHART, coords, params) for k in kernels]
+    tables = [
+        poisson._gradient_table(lambda c, k=k: k(poisson.SAMPLE_CHART, c, params), coords, backend)
+        for k in kernels
+    ]
+    assert set(vals[0]) == {"Lt1", "Lt2", "Lt3", "D11", "D12", "D13", "D22", "D23", "D33"}
+    for name in vals[0]:
+        assert _same_bits(vals[0][name], vals[1][name]), name
+        assert _same_bits(tables[0][name], tables[1][name]), name
+
+
+def _sweep_reference(kernel, coords, params, relations, backends):
+    """Residual and gap per relation, one relation at a time on whole tables."""
+    import hyposc.poisson as poisson
+
+    def pair(gf, gg):
+        return (gf[0] * gg[3] - gg[0] * gf[3]
+                + gf[1] * gg[4] - gg[1] * gf[4]
+                + gf[2] * gg[5] - gg[2] * gf[5])
+
+    def values(c):
+        return kernel(poisson.SAMPLE_CHART, c, params)
+
+    vals = values(coords)
+    tables = [poisson._gradient_table(values, coords, b) for b in backends]
+    res = np.zeros(len(relations))
+    gap = np.zeros(len(relations))
+    for j, (a, b, rhs_fn) in enumerate(relations):
+        lhs = [pair(t[a], t[b]) for t in tables]
+        res[j] = np.max(np.abs(lhs[0] - rhs_fn(vals, params)))
+        if len(lhs) > 1:
+            size = np.linalg.norm(tables[0][a], axis=0) * np.linalg.norm(tables[0][b], axis=0)
+            gap[j] = np.max(np.abs(lhs[0] - lhs[1]) / np.maximum(1.0, size))
+    return res, gap
+
+
+def _relations(kind, params):
+    import hyposc.poisson as poisson
+
+    if kind == "so22":
+        return [(a, b, (lambda v, p: 0.0) if t is None else (lambda v, p, c=c, t=t: c * v[t]))
+                for a, b, c, t in poisson._SO22_TABLE]
+    w2, iR2 = params.omega**2, 1.0 / params.radius**2
+    rows = [(a, b, lambda v, p, f=f: f(v)) for a, b, _, f in poisson._DL_TABLE]
+    rows += [(a, b, lambda v, p: 0.0) for a, b in poisson._DIAGONAL_ZEROS]
+    for table in (poisson._DD_TABLE, poisson._FLAGGED_TABLE, poisson._FITTED_TABLE):
+        rows += [(a, b, lambda v, p, f=f: f(v, w2, iR2)) for a, b, _, f in table]
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["so22", "df_algebra"])
+def test_stacked_relation_pass_matches_per_relation_loop(kind):
+    import hyposc.poisson as poisson
+
+    n = 1300  # three blocks, the last one partial
+    assert n > 2 * poisson.BLOCK
+    params = ModelParams(1.0, 1.0)
+    coords = poisson.sample_coords(n, 8)
+    if kind == "so22":
+        kernel, backends = poisson._generator_values, ("dual",)
+    else:
+        kernel, backends = poisson._tensor_values, ("dual", "fd")
+    relations = _relations(kind, params)
+    res, gap = poisson._sweep(kernel, coords, params, relations, backends)
+    ref_res, ref_gap = _sweep_reference(kernel, coords, params, relations, backends)
+    assert _same_bits(res, ref_res)
+    assert _same_bits(gap, ref_gap)
+    if kind == "df_algebra":
+        assert np.all(gap > 0.0)
+
+
+def test_blocked_fd_pass_matches_one_unblocked_pass(params, monkeypatch):
+    import hyposc.poisson as poisson
+
+    n = 1300
+    coords = list(poisson.sample_coords(n, 10))
+    calls = []
+
+    def values(c):
+        calls.append(np.shape(c[0]))
+        return poisson._tensor_values(poisson.SAMPLE_CHART, c, params)
+
+    blocked = poisson._gradient_table(values, coords, "fd")
+    assert calls == [(4, 6, 512), (4, 6, 512), (4, 6, n - 1024)]
+    monkeypatch.setattr(poisson, "BLOCK", n)
+    calls.clear()
+    whole = poisson._gradient_table(values, coords, "fd")
+    assert calls == [(4, 6, n)]
+    assert blocked.keys() == whole.keys()
+    for name in whole:
+        assert _same_bits(blocked[name], whole[name]), name
