@@ -25,16 +25,12 @@ from .geometry import (
     unembed,
 )
 from .invariants import (
-    DemkovFradkinTensor,
     GeneratorSet,
     InvariantSet,
     check_identities,
-    demkov_fradkin,
     evaluate_invariants,
     generators,
-    generators_ambient,
     l_squared,
-    oscillator_hamiltonian_ambient,
 )
 from .dynamics import (
     Event,
@@ -43,7 +39,6 @@ from .dynamics import (
     IntegrationError,
     Mode,
     Trajectory,
-    equations_of_motion,
     hamiltonian,
     integrate,
     measure_period,
@@ -87,12 +82,10 @@ __all__ = [
     "PhaseState", "beltrami", "chart_select", "chart_transition",
     "constraint_residual", "embed", "momentum_lift", "momentum_project",
     "phase_transition", "unembed",
-    "DemkovFradkinTensor", "GeneratorSet", "InvariantSet", "check_identities",
-    "demkov_fradkin", "evaluate_invariants", "generators", "generators_ambient",
-    "l_squared", "oscillator_hamiltonian_ambient",
+    "GeneratorSet", "InvariantSet", "check_identities", "evaluate_invariants",
+    "generators", "l_squared",
     "Event", "EventKind", "IntegrationConfig", "IntegrationError", "Mode",
-    "Trajectory", "equations_of_motion", "hamiltonian", "integrate",
-    "measure_period",
+    "Trajectory", "hamiltonian", "integrate", "measure_period",
     "Carrier", "ConicKind", "ConicParams", "OrbitClassification",
     "RadialRegime", "angular_solution", "canonical_state", "classify",
     "contraction_check", "effective_potential", "eff_minimum",

@@ -86,29 +86,6 @@ class Dual:
         # shift by a multiple of the (constant) modulus: derivative unchanged
         return Dual(self.re % m, self.im)
 
-    def __abs__(self):
-        re = _real(self.re)
-        if isinstance(re, np.ndarray):
-            return self * np.where(re >= 0, 1.0, -1.0)
-        return self if re >= 0 else -self
-
-    # ---- ordering on the real part ----------------------------------------
-
-    def __lt__(self, other):
-        return _real(self) < _real(other)
-
-    def __le__(self, other):
-        return _real(self) <= _real(other)
-
-    def __gt__(self, other):
-        return _real(self) > _real(other)
-
-    def __ge__(self, other):
-        return _real(self) >= _real(other)
-
-    def __repr__(self):
-        return f"Dual({self.re!r}, {self.im!r})"
-
 
 # ---- generic math ---------------------------------------------------------
 

@@ -135,15 +135,6 @@ class IntegrationError(RuntimeError):
     pass
 
 
-class PhaseDerivative(NamedTuple):
-    dq1: float
-    dq2: float
-    dphi: float
-    dp1: float
-    dp2: float
-    dpphi: float
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonian and equations of motion (chart form)
 # ---------------------------------------------------------------------------
@@ -166,7 +157,7 @@ def hamiltonian(state: PhaseState, params: ModelParams, mode: Mode = Mode.OSCILL
     pt = state.point
     R2 = params.radius**2
     p1 = state.p1
-    if _real_zero(state.p2) and _real_zero(state.pphi):
+    if state.p2 == 0.0 and state.pphi == 0.0:
         cent = 0.0
     else:
         lsq = l_squared(state)
@@ -182,21 +173,6 @@ def hamiltonian(state: PhaseState, params: ModelParams, mode: Mode = Mode.OSCILL
     if mode == Mode.FREE:
         return kin
     return kin + potential(pt, params)
-
-
-def _real_zero(x) -> bool:
-    return x == 0.0
-
-
-def equations_of_motion(
-    state: PhaseState, params: ModelParams, mode: Mode = Mode.OSCILLATOR
-) -> PhaseDerivative:
-    """Canonical qdot = dH/dp, pdot = -dH/dq; p_phi is always conserved."""
-    y = np.array(
-        [state.point.q1, state.point.q2, state.point.phi, state.p1, state.p2, state.pphi]
-    )
-    rhs = _chart_rhs(state.point.chart.is_outer, params, mode)
-    return PhaseDerivative(*rhs(0.0, y))
 
 
 def _float_rhs(body):
@@ -219,6 +195,8 @@ def _float_rhs(body):
 
 
 def _chart_rhs(is_outer: bool, params: ModelParams, mode: Mode):
+    """rhs(t, y) of the canonical equations qdot = dH/dp, pdot = -dH/dq on one
+    chart family, y = (q1, q2, phi, p1, p2, pphi); p_phi is always conserved."""
     R2 = params.radius**2
     w2 = params.omega**2 * R2 if mode == Mode.OSCILLATOR else 0.0
 
@@ -1005,11 +983,14 @@ def integrate(
     R2 = R * R
     t0, t1 = cfg.t_span
 
-    ph0 = momentum_lift(initial, params)
-    y80 = _y8_from_phase(ph0)
-    if not np.all(np.isfinite(y80)):
-        raise IntegrationError("non-finite initial data")
-    h0val = hamiltonian(initial, params, mode)
+    try:
+        y80 = _y8_from_phase(momentum_lift(initial, params))
+        if not np.all(np.isfinite(y80)):
+            raise OverflowError
+        h0val = hamiltonian(initial, params, mode)
+    except OverflowError:
+        # math.cosh and the like raise where numpy gives inf
+        raise IntegrationError("non-finite initial data") from None
     chart = initial.point.chart
     start = np.array(
         [initial.point.q1, initial.point.q2, initial.point.phi,

@@ -173,20 +173,11 @@ def _embed(outer: bool, s, R, a, b, c, d, cp, sp):
     return (s * R * a, z1, rho * cp, rho * sp)
 
 
-def embed_coords(chart: ChartId, coords, radius: float) -> tuple:
-    """Chart coordinates (q1, q2, phi, ...) -> (z0, z1, z2, z3).
-
-    Each coordinate may be a float, an (N,) array with one entry per state,
-    or a dual of either; the result has the same form.
-    """
-    outer = chart.is_outer
-    return _embed(outer, chart.sheet_sign, radius, *_trig(outer, *coords[:3]))
-
-
 def embed(point: ChartPoint, params: ModelParams) -> EmbeddingPoint:
     """Chart coordinates -> ambient coordinates."""
-    return EmbeddingPoint(*embed_coords(point.chart, (point.q1, point.q2, point.phi),
-                                        params.radius))
+    outer = point.chart.is_outer
+    trig = _trig(outer, point.q1, point.q2, point.phi)
+    return EmbeddingPoint(*_embed(outer, point.chart.sheet_sign, params.radius, *trig))
 
 
 def constraint_residual(z: EmbeddingPoint, params: ModelParams) -> float:

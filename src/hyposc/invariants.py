@@ -18,6 +18,12 @@ collects the oscillator's hidden symmetry; its trace identity
     H_osc = (-D11 + D22 + D33)/2 - L^2/(2 R^2)
 
 and the weighted contraction sum_i gbar_ii L_i D_ik = 0 are checked here.
+
+All of it is computed by one array kernel (`ambient_generators`,
+`df_components`, `invariant_coords`, `identity_residuals`) whose arguments
+may be floats, (N,) arrays with one entry per state, or duals.
+`evaluate_invariants` and `check_identities` are its single-state view, and
+`generators` and `l_squared` the closed chart forms it is checked against.
 """
 
 from dataclasses import dataclass
@@ -87,11 +93,6 @@ def ambient_generators(z, p) -> tuple:
     )
 
 
-def generators_ambient(ph: EmbeddingPhase) -> GeneratorSet:
-    """The six so(2,2) bilinears from ambient phase-space data."""
-    return GeneratorSet(*ambient_generators(*_zp(ph)))
-
-
 def generators(state: PhaseState, params: ModelParams) -> GeneratorSet:
     """Generators from chart data.
 
@@ -101,7 +102,7 @@ def generators(state: PhaseState, params: ModelParams) -> GeneratorSet:
     """
     pt = state.point
     if not pt.chart.is_outer:
-        return generators_ambient(momentum_lift(state, params))
+        return GeneratorSet(*ambient_generators(*_zp(momentum_lift(state, params))))
     s = pt.chart.sheet_sign
     p1, p2, pphi = state.p1, state.p2, state.pphi
     sht, cht = sinh(pt.q2), cosh(pt.q2)
@@ -152,14 +153,6 @@ def l_squared(state: PhaseState) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DemkovFradkinTensor:
-    d: np.ndarray  # symmetric 3x3
-
-    def __getitem__(self, ik):
-        return self.d[ik]
-
-
 _DF_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
@@ -174,18 +167,6 @@ def df_components(z, n, params: ModelParams) -> tuple:
     zs = z[1:]
     z0_sq = z0**2
     return tuple(n[i] * n[k] / R2 + w * (zs[i] * zs[k]) / z0_sq for i, k in _DF_PAIRS)
-
-
-def _tensor(d) -> DemkovFradkinTensor:
-    d11, d12, d13, d22, d23, d33 = d
-    return DemkovFradkinTensor(
-        np.array([[d11, d12, d13], [d12, d22, d23], [d13, d23, d33]], dtype=float))
-
-
-def demkov_fradkin(ph: EmbeddingPhase, params: ModelParams) -> DemkovFradkinTensor:
-    """Full tensor D_ik = N_i N_k / R^2 + omega^2 R^2 z_i z_k / z0^2."""
-    z, p = _zp(ph)
-    return _tensor(df_components(z, ambient_generators(z, p)[:3], params))
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +184,6 @@ def _potential(z, params: ModelParams):
     z0 = guarded(z0, True, "potential undefined at z0 = 0")
     w = 0.5 * params.omega**2 * params.radius**2
     return w * (z2**2 + z3**2 - z1**2) / z0**2
-
-
-def free_hamiltonian_ambient(ph: EmbeddingPhase) -> float:
-    """H_free = (1/2) G^{-1}(p, p) with G = diag(-1,-1,1,1)."""
-    return _free_hamiltonian(_zp(ph)[1])
-
-
-def potential_ambient(ph_or_z, params: ModelParams) -> float:
-    """V = (omega^2 R^2 / 2)(z2^2 + z3^2 - z1^2) / z0^2."""
-    z = ph_or_z.z if isinstance(ph_or_z, EmbeddingPhase) else ph_or_z
-    return _potential((z.z0, z.z1, z.z2, z.z3), params)
-
-
-def oscillator_hamiltonian_ambient(ph: EmbeddingPhase, params: ModelParams) -> float:
-    return free_hamiltonian_ambient(ph) + potential_ambient(ph, params)
 
 
 def invariant_coords(z, p, params: ModelParams, mode: str = "oscillator") -> tuple:
@@ -241,14 +207,14 @@ class InvariantSet:
     l_squared: float
     casimir1: float
     casimir2: float
-    df: DemkovFradkinTensor
+    df: np.ndarray  # D_ik, symmetric 3x3
 
 
 def evaluate_invariants(
     ph: EmbeddingPhase, params: ModelParams, mode: str = "oscillator"
 ) -> InvariantSet:
     """All conserved quantities at one ambient phase point."""
-    h, h_free, gens, d = invariant_coords(*_zp(ph), params, mode)
+    h, h_free, gens, (d11, d12, d13, d22, d23, d33) = invariant_coords(*_zp(ph), params, mode)
     return InvariantSet(
         hamiltonian=h,
         free_hamiltonian=h_free,
@@ -256,7 +222,7 @@ def evaluate_invariants(
         l_squared=gens.l_squared(),
         casimir1=gens.casimir1(),
         casimir2=gens.casimir2(),
-        df=_tensor(d),
+        df=np.array([[d11, d12, d13], [d12, d22, d23], [d13, d23, d33]], dtype=float),
     )
 
 
@@ -316,7 +282,7 @@ def identity_residuals(h, h_free, gens: GeneratorSet, d, params: ModelParams):
 
 def check_identities(inv: InvariantSet, params: ModelParams) -> IdentityReport:
     """Residuals of the algebraic identities at one phase point."""
-    d = inv.df.d
+    d = inv.df
     residuals, scale = identity_residuals(
         inv.hamiltonian, inv.free_hamiltonian, inv.generators,
         (d[0, 0], d[0, 1], d[0, 2], d[1, 1], d[1, 2], d[2, 2]), params)

@@ -17,11 +17,13 @@ Convention note: the sweep of the tensor algebra states its relations in the
 angular-momentum sign convention fixed by L1 = +p_phi on the outer chart
 (observables Lt1, Lt2, Lt3 = -l1, l2, -l3 relative to the ambient bilinears).
 The generator sweep uses the ambient convention throughout.
+
+A sweep returns a `BracketReport`: `table` renders it as text and `as_dict`
+as the JSON object the command line writes.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -30,7 +32,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .duals import Dual
-from .dynamics import atomic_write_text
 from .geometry import TWO_PI, ChartId, ChartPoint, ModelParams, PhaseState, lift_coords
 # the single-state view, kept reachable here (bench/tracer.py wraps it)
 from .geometry import momentum_lift  # noqa: F401
@@ -380,12 +381,6 @@ class BracketReport:
             "notes": list(self.notes),
             "pairs": [c.as_dict() for c in self.pairs],
         }
-
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.as_dict(), indent=2)
-        if path is not None:
-            atomic_write_text(path, text + "\n")
-        return text
 
     def table(self) -> str:
         width = max(len(c.lhs) for c in self.pairs) + 2

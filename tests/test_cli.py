@@ -175,6 +175,32 @@ def test_simulate_non_list_figure_ids_is_a_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG and err.startswith("config error: outputs[0].ids must be a list")
 
 
+_STATE = {"chart": "outer_plus", "q1": 1.0, "q2": 0.0, "phi": 0.0,
+          "p1": 0.5, "p2": 0.0, "pphi": 0.3}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"initial": {"state": 5}},
+    {"initial": {"analytic": 5}},
+    {"integration": 5},
+    {"mode": []},
+    {"initial": {"state": dict(_STATE, chart=[])}},
+    {"initial": {"state": dict(_STATE, q1=math.nan)}},
+    {"initial": {"state": dict(_STATE, pphi=math.inf)}},
+], ids=["state", "analytic", "integration", "mode", "chart", "nan", "inf"])
+def test_simulate_malformed_config_is_a_config_error(tmp_path, capsys, overrides):
+    code, err = _simulate_exit(tmp_path, capsys, _base_config(**overrides))
+    assert code == EXIT_CONFIG and err.startswith("config error: "), err
+    assert not (tmp_path / "x").exists()
+
+
+def test_simulate_overflowing_initial_state_is_a_numeric_error(tmp_path, capsys):
+    # cosh r overflows a float at r ~ 710
+    state = dict(_STATE, q1=1e3, p1=0.1, pphi=0.0)
+    code, err = _simulate_exit(tmp_path, capsys, _base_config(initial={"state": state}))
+    assert code == EXIT_NUMERIC and "non-finite initial data" in err
+
+
 @pytest.mark.parametrize("suite", ["so22", "appendix_a", "identities", "all"])
 @pytest.mark.parametrize("points", ["0", "-2"])
 def test_verify_nonpositive_points_is_a_config_error(suite, points, capsys):
@@ -429,6 +455,23 @@ def test_cli_runs_without_scipy_integrate(tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "figures" / "fig9_orbit_e0.8.csv").exists()
+
+
+def test_package_exports_resolve_once():
+    import hyposc
+
+    assert len(set(hyposc.__all__)) == len(hyposc.__all__)
+    for name in hyposc.__all__:
+        assert hasattr(hyposc, name), name
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    bench = os.path.join(os.path.dirname(src), "bench")
+    code = f"import sys; sys.path.insert(0, {bench!r}); import tracer; tracer.Tracer().install()"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

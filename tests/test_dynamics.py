@@ -10,7 +10,7 @@ from hyposc.dynamics import (
     IntegrationConfig,
     IntegrationError,
     Mode,
-    equations_of_motion,
+    _chart_rhs,
     hamiltonian,
     integrate,
     measure_period,
@@ -78,20 +78,26 @@ def test_hamiltonian_at_pole(params):
 # ---------------------------------------------------------------------------
 
 
+def _eom(st, params):
+    """(dq1, dq2, dphi, dp1, dp2, dpphi) of the oscillator at a chart state."""
+    y = np.array([st.point.q1, st.point.q2, st.point.phi, st.p1, st.p2, st.pphi])
+    return _chart_rhs(st.point.chart.is_outer, params, Mode.OSCILLATOR)(0.0, y)
+
+
 def test_eom_radial_reduction(params):
     st = PhaseState(ChartPoint(ChartId.OUTER_PLUS, 0.8, 0.0, 0.0), 0.6, 0.0, 0.0)
-    dot = equations_of_motion(st, params)
-    npt.assert_allclose(dot.dq1, 0.6, rtol=1e-15)
-    assert dot.dq2 == dot.dphi == dot.dp2 == dot.dpphi == 0.0
+    dq1, dq2, dphi, dp1, dp2, dpphi = _eom(st, params)
+    npt.assert_allclose(dq1, 0.6, rtol=1e-15)
+    assert dq2 == dphi == dp2 == dpphi == 0.0
     force = -math.tanh(0.8) / math.cosh(0.8) ** 2
-    npt.assert_allclose(dot.dp1, force, rtol=1e-14)
+    npt.assert_allclose(dp1, force, rtol=1e-14)
 
 
 def test_eom_circular_stationary(params):
     st = canonical_state(0.375, 0.25, params)
-    dot = equations_of_motion(st, params)
-    npt.assert_allclose([dot.dq1, dot.dp1, dot.dq2, dot.dp2], np.zeros(4), atol=1e-15)
-    npt.assert_allclose(dot.dphi, 0.5, rtol=1e-14)  # pphi / sinh^2 r_c
+    dq1, dq2, dphi, dp1, dp2, _ = _eom(st, params)
+    npt.assert_allclose([dq1, dp1, dq2, dp2], np.zeros(4), atol=1e-15)
+    npt.assert_allclose(dphi, 0.5, rtol=1e-14)  # pphi / sinh^2 r_c
 
 
 def test_eom_conserves_pphi(params):
@@ -99,13 +105,13 @@ def test_eom_conserves_pphi(params):
     for _ in range(20):
         pt = ChartPoint(ChartId.OUTER_PLUS, rng.uniform(0.2, 2.0), rng.uniform(-1.0, 1.0), rng.uniform(0.0, 6.0))
         st = PhaseState(pt, *rng.uniform(-1.5, 1.5, size=3))
-        assert equations_of_motion(st, params).dpphi == 0.0
+        assert _eom(st, params)[5] == 0.0
 
 
 def test_eom_energy_gradient_consistency(params):
     # dH/dt along the flow vanishes: dot(q) . dH/dq + dot(p) . dH/dp = 0
     st = PhaseState(ChartPoint(ChartId.OUTER_PLUS, 1.1, -0.5, 0.7), 0.4, 0.8, -0.6)
-    dot = equations_of_motion(st, params)
+    flow = _eom(st, params)
     h = 1e-6
 
     def ham_at(q1, q2, phi, p1, p2, pphi):
@@ -119,7 +125,6 @@ def test_eom_energy_gradient_consistency(params):
         up[i] += h
         dn[i] -= h
         grad.append((ham_at(*up) - ham_at(*dn)) / (2 * h))
-    flow = [dot.dq1, dot.dq2, dot.dphi, dot.dp1, dot.dp2, dot.dpphi]
     dh = sum(f * g for f, g in zip(flow[:3], grad[:3])) + sum(
         f * g for f, g in zip(flow[3:], grad[3:])
     )
@@ -459,6 +464,16 @@ def test_ambient_drift_aborts_when_it_appears(params, monkeypatch):
     assert str(err.value) == "constraint drift 1.863e-08 beyond 1e-08*R^2 at t=12.05063229686252"
 
 
+@pytest.mark.parametrize("chart, q1, q2", [
+    (ChartId.OUTER_PLUS, 1e3, 0.0),   # cosh r overflows a float
+    (ChartId.INNER_MINUS, 0.5, 1e3),  # cosh mu overflows a float
+])
+def test_overflowing_initial_state_is_an_integration_error(chart, q1, q2, params):
+    st = PhaseState(ChartPoint(chart, q1, q2, 0.0), 0.1, 0.0, 0.0)
+    with pytest.raises(IntegrationError, match="non-finite initial data"):
+        integrate(st, params, IntegrationConfig())
+
+
 def test_project_constraint_rejects_points_off_the_shell():
     y8 = np.array([2.0, 0.0, 1.0, 0.0, 0.1, 0.0, 0.0, 0.0])
     out = dyn._project_constraint(y8, 1.5)
@@ -532,7 +547,7 @@ def _sample_by_sample(stretch, chart, params, mode):
             ph = EmbeddingPhase(EmbeddingPoint(*y8[:4]), *y8[4:])
             state = momentum_project(ph, chart_select(ph.z, params), params)
         inv = evaluate_invariants(ph, params, mode.value)
-        g, d = inv.generators, inv.df.d
+        g, d = inv.generators, inv.df
         pt, z = state.point, ph.z
         charts.append(pt.chart)
         states.append((t, pt.q1, pt.q2, pt.phi, state.p1, state.p2, state.pphi,
