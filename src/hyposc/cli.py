@@ -2,46 +2,63 @@
 
 Runs are described by a JSON config (see docs/runconfig.schema.json); the
 other subcommands take plain flags.  Exit codes are a stable contract:
-0 success, 2 usage or config error, 3 numeric failure.  All file outputs are
-deterministic — rerunning a command with the same inputs reproduces the same
-bytes.
+0 success, 2 usage or config error (an output that cannot be written
+included), 3 numeric failure.  All file outputs are deterministic —
+rerunning a command with the same inputs reproduces the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+from .regimes import ChartId, ModelParams, OrbitClassification, classify
 
-from . import orbits
-from .dynamics import (
-    IntegrationConfig,
-    IntegrationError,
-    Mode,
-    Trajectory,
-    atomic_write_text,
-    integrate,
-    measure_period,
-)
-from .geometry import ChartId, ChartPoint, ModelParams, PhaseState, lift_coords
-from .invariants import IDENTITIES, identity_residuals, invariant_coords
-from .poisson import SAMPLE_CHART, sample_coords, verify_df_algebra, verify_so22
-# single-state views kept reachable through this module (bench/tracer.py wraps them)
-from .geometry import momentum_lift  # noqa: F401
-from .invariants import check_identities, evaluate_invariants  # noqa: F401
+if TYPE_CHECKING:
+    from .dynamics import IntegrationConfig, Mode, Trajectory
+    from .geometry import PhaseState
+
+# Each command imports the modules it runs inside its cmd_* function, so that
+# `classify` loads no numpy, `verify` no integrator and `simulate`/`figure` no
+# bracket sweeps.  The names below resolve on first access (PEP 562), and the
+# commands call them through `_attr`, as this module holds them at call time,
+# so that a wrapper set on this module applies.  The single-state views are
+# resolved here for bench/tracer.py, which wraps them.
+_LAZY = {
+    "integrate": "dynamics",
+    "verify_so22": "poisson",
+    "verify_df_algebra": "poisson",
+    "momentum_lift": "geometry",
+    "check_identities": "invariants",
+    "evaluate_invariants": "invariants",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _attr(name: str):
+    """This module's attribute ``name`` as it is now, imported on first use."""
+    return globals()[name] if name in globals() else __getattr__(name)
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 OUTPUT_KINDS = ("TrajectoryCsv", "InvariantsCsv", "EventsJson", "ReportJson", "FigureSet")
-_MODE_TOKENS = {"Free": Mode.FREE, "Oscillator": Mode.OSCILLATOR}
 _CHART_TOKENS = {c.value: c for c in ChartId}
 
 
@@ -94,6 +111,8 @@ def _parse_params(obj) -> ModelParams:
 
 
 def _parse_state(obj, params: ModelParams) -> PhaseState:
+    from .geometry import ChartPoint, PhaseState
+
     fields = ("q1", "q2", "phi", "p1", "p2", "pphi")
     _require_keys(obj, ("chart",) + fields, "initial.state")
     chart = _token(_CHART_TOKENS, obj.get("chart"))
@@ -125,14 +144,18 @@ def _parse_analytic(obj, params: ModelParams):
         raise ConfigError("analytic spec must be finite")
     if e < 0.0 and l_sq >= 0.0:
         raise ConfigError("negative energy requires l_sq < 0")
+    from .orbits import canonical_state
+
     try:
-        state = orbits.canonical_state(e, l_sq, params)
+        state = canonical_state(e, l_sq, params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return state, (e, l_sq)
 
 
 def _parse_integration(obj):
+    from .dynamics import IntegrationConfig
+
     if obj is None:
         return IntegrationConfig()
     removed = ("method", "boundary_band")
@@ -176,9 +199,12 @@ def _parse_outputs(items) -> tuple:
         ids = tuple(ids)
         if ids and kind != "FigureSet":
             raise ConfigError(f"outputs[{i}].ids is only valid for FigureSet")
-        for fid in ids:
-            if fid not in orbits.FIGURE_IDS:
-                raise ConfigError(f"outputs[{i}]: unknown figure id {fid!r}")
+        if ids:
+            from .orbits import FIGURE_IDS
+
+            for fid in ids:
+                if fid not in FIGURE_IDS:
+                    raise ConfigError(f"outputs[{i}]: unknown figure id {fid!r}")
         specs.append(OutputSpec(kind, path, ids))
     paths = [s.path for s in specs]
     if len(set(paths)) != len(paths):
@@ -191,9 +217,12 @@ def load_config(obj: dict) -> RunConfig:
     _require_keys(obj, ("params", "mode", "initial", "integration", "outputs"), "config")
     params = _parse_params(obj.get("params", {}))
 
-    mode = _token(_MODE_TOKENS, obj.get("mode", "Oscillator"))
+    from .dynamics import Mode
+
+    modes = {"Free": Mode.FREE, "Oscillator": Mode.OSCILLATOR}
+    mode = _token(modes, obj.get("mode", "Oscillator"))
     if mode is None:
-        raise ConfigError(f"mode must be one of {sorted(_MODE_TOKENS)}")
+        raise ConfigError(f"mode must be one of {sorted(modes)}")
 
     initial = obj.get("initial")
     _require_keys(initial, ("state", "analytic"), "initial")
@@ -229,7 +258,7 @@ def _read_config_file(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _classification_dict(oc: orbits.OrbitClassification) -> dict:
+def _classification_dict(oc: OrbitClassification) -> dict:
     conic = None
     if oc.conic is not None:
         conic = {
@@ -256,6 +285,8 @@ _DRIFT_KEYS = {"H": "H", "N1": "N1", "N2": "N2", "N3": "N3", "L1": "L1", "L2": "
 
 def _drift_stats(traj: Trajectory) -> dict:
     """Max relative drift of each tracked invariant over the run."""
+    import numpy as np
+
     out = {}
     for name, key in _DRIFT_KEYS.items():
         vals = traj.column(name)
@@ -264,6 +295,8 @@ def _drift_stats(traj: Trajectory) -> dict:
 
 
 def _report_dict(cfg: RunConfig, traj: Trajectory, files: dict) -> dict:
+    from .dynamics import Mode, measure_period
+
     e = float(traj.column("H")[0])
     l_sq = float(traj.column("Lsq")[0])
     counts = {}
@@ -272,7 +305,7 @@ def _report_dict(cfg: RunConfig, traj: Trajectory, files: dict) -> dict:
     classification = None
     if cfg.mode is Mode.OSCILLATOR:
         ae, al = (cfg.analytic if cfg.analytic is not None else (e, l_sq))
-        classification = _classification_dict(orbits.classify(ae, al, cfg.params))
+        classification = _classification_dict(classify(ae, al, cfg.params))
     pt = cfg.initial.point
     return {
         "params": {"omega": cfg.params.omega, "radius": cfg.params.radius},
@@ -295,33 +328,42 @@ def _report_dict(cfg: RunConfig, traj: Trajectory, files: dict) -> dict:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
+    from .dynamics import IntegrationError
+    from .files import atomic_write_text
+
     try:
-        traj = integrate(cfg.initial, cfg.params, cfg.integration, mode=cfg.mode)
+        traj = _attr("integrate")(cfg.initial, cfg.params, cfg.integration, mode=cfg.mode)
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    files = {spec.kind: spec.path for spec in cfg.outputs}  # config-relative names
+    try:
+        report = _report_dict(cfg, traj, files) if "ReportJson" in files else None
+    except ValueError as exc:  # the closed forms cannot classify the run's (E, L^2)
+        print(f"classification failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
-    os.makedirs(out_dir, exist_ok=True)
-    files = {}       # config-relative names (stable across --out choices)
-    report_path = None
-    for spec in cfg.outputs:
-        path = spec.path if os.path.isabs(spec.path) else os.path.join(out_dir, spec.path)
-        if spec.kind == "TrajectoryCsv":
-            traj.to_csv(path)
-        elif spec.kind == "InvariantsCsv":
-            traj.to_invariants_csv(path)
-        elif spec.kind == "EventsJson":
-            traj.write_events_json(path)
-        elif spec.kind == "FigureSet":
-            ids = spec.fig_ids or orbits.FIGURE_IDS
-            orbits.export_figures(ids, path, cfg.params)
-        elif spec.kind == "ReportJson":
-            report_path = path  # written last, mentions the other files
-        files[spec.kind] = spec.path
-    if report_path is not None:
-        atomic_write_text(
-            report_path, json.dumps(_report_dict(cfg, traj, files), indent=2) + "\n"
-        )
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        report_path = None
+        for spec in cfg.outputs:
+            path = spec.path if os.path.isabs(spec.path) else os.path.join(out_dir, spec.path)
+            if spec.kind == "TrajectoryCsv":
+                traj.to_csv(path)
+            elif spec.kind == "InvariantsCsv":
+                traj.to_invariants_csv(path)
+            elif spec.kind == "EventsJson":
+                traj.write_events_json(path)
+            elif spec.kind == "FigureSet":
+                from . import orbits
+
+                orbits.export_figures(spec.fig_ids or orbits.FIGURE_IDS, path, cfg.params)
+            elif spec.kind == "ReportJson":
+                report_path = path  # written last, mentions the other files
+        if report_path is not None:
+            atomic_write_text(report_path, json.dumps(report, indent=2) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs: {exc}") from exc
 
     print(
         f"simulate: {traj.times.size} samples, {len(traj.events)} events, "
@@ -342,7 +384,7 @@ def cmd_classify(e: float, l_sq: float, omega: float, radius: float) -> int:
             return EXIT_CONFIG
     try:
         params = ModelParams(omega, radius)
-        oc = orbits.classify(e, l_sq, params)
+        oc = classify(e, l_sq, params)
     except ValueError as exc:
         print(f"classify: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -363,6 +405,12 @@ def identities_report(params: Optional[ModelParams] = None, n_points: int = 1000
     Pass flags aggregate the per-state verdicts (which are scale-relative);
     informational rows keep passed = None.
     """
+    import numpy as np
+
+    from .geometry import lift_coords
+    from .invariants import IDENTITIES, identity_residuals, invariant_coords
+    from .poisson import SAMPLE_CHART, sample_coords
+
     params = params or ModelParams()
     y = lift_coords(SAMPLE_CHART, sample_coords(n_points, seed), params.radius)
     residuals, scale = identity_residuals(*invariant_coords(y[:4], y[4:], params), params)
@@ -404,6 +452,9 @@ def cmd_verify(suite: str, seed: int, n_points: Optional[int],
         raise ConfigError(f"--seed must be >= 0, got {seed}")
     if tol is not None and not 0.0 < tol < math.inf:
         raise ConfigError(f"--tol must be positive and finite, got {tol}")
+    from .files import atomic_write_text
+    from .invariants import IDENTITIES
+
     if tol is not None and suite == "identities":
         fixed = ", ".join(f"{t:g}" for t in sorted({t for _, t in IDENTITIES if t is not None}))
         raise ConfigError(
@@ -418,10 +469,9 @@ def cmd_verify(suite: str, seed: int, n_points: Optional[int],
         kwargs["n_points"] = n_points
     if tol is not None:
         kwargs["tol"] = tol
-    # looked up at call time, so that a wrapper installed on this module applies
-    for name, sweep in (("so22", verify_so22), ("appendix_a", verify_df_algebra)):
+    for name, sweep in (("so22", "verify_so22"), ("appendix_a", "verify_df_algebra")):
         if suite in (name, "all"):
-            rep = sweep(params, **kwargs)
+            rep = _attr(sweep)(params, **kwargs)
             print(rep.table())
             reports.append((name, rep.passed, rep.as_dict()))
     if suite in ("identities", "all"):
@@ -430,11 +480,14 @@ def cmd_verify(suite: str, seed: int, n_points: Optional[int],
         reports.append(("identities", rep["passed"], rep))
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        for name, _, payload in reports:
-            atomic_write_text(
-                os.path.join(out_dir, f"{name}.json"), json.dumps(payload, indent=2) + "\n"
-            )
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            for name, _, payload in reports:
+                atomic_write_text(
+                    os.path.join(out_dir, f"{name}.json"), json.dumps(payload, indent=2) + "\n"
+                )
+        except OSError as exc:
+            raise ConfigError(f"cannot write outputs: {exc}") from exc
 
     return EXIT_OK if all(ok for _, ok, _ in reports) else EXIT_NUMERIC
 
@@ -445,6 +498,8 @@ def cmd_verify(suite: str, seed: int, n_points: Optional[int],
 
 
 def cmd_figure(fig_id: str, out_dir: str) -> int:
+    from . import orbits
+
     if fig_id == "all":
         ids = orbits.FIGURE_IDS
     else:
@@ -455,7 +510,10 @@ def cmd_figure(fig_id: str, out_dir: str) -> int:
             )
             return EXIT_CONFIG
         ids = (key,)
-    manifest = orbits.export_figures(ids, out_dir)
+    try:
+        manifest = orbits.export_figures(ids, out_dir)
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs: {exc}") from exc
     n_files = sum(len(entry["datasets"]) for entry in manifest["figures"])
     print(f"figure: wrote {n_files} dataset(s) + manifest.json in {out_dir}")
     return EXIT_OK

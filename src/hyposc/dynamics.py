@@ -51,8 +51,6 @@ multiple of the radial period (full identity at even multiples).
 import bisect
 import json
 import math
-import os
-import tempfile
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -73,6 +71,7 @@ from .geometry import (
     momentum_lift,
     momentum_project,
 )
+from .files import atomic_write_text, write_table
 from .invariants import invariant_coords, l_squared
 # a single-state view kept reachable through this module (bench/tracer.py wraps it)
 from .invariants import evaluate_invariants  # noqa: F401
@@ -647,8 +646,19 @@ class _DenseStep:
     def __call__(self, t):
         if self.F is None:
             self._build()
-        x = (t - self.t_old) / self.h
-        y = np.zeros_like(self.y_old)
+        return self._horner((t - self.t_old) / self.h, np.zeros_like(self.y_old))
+
+    def at(self, ts: np.ndarray) -> np.ndarray:
+        """The interpolant at each of the times ``ts``, as a (ts.size, n) array.
+
+        Row k equals self(ts[k]) bit for bit: the same operations, by row.
+        """
+        if self.F is None:
+            self._build()
+        x = ((ts - self.t_old) / self.h)[:, None]
+        return self._horner(x, np.zeros((ts.size, self.y_old.size)))
+
+    def _horner(self, x, y):
         for i, f in enumerate(reversed(self.F)):
             y += f
             if i % 2 == 0:
@@ -675,6 +685,21 @@ class DenseSolution:
     def __call__(self, t):
         segment = min(max(bisect.bisect_left(self.ts, t) - 1, 0), len(self.steps) - 1)
         return self.steps[segment](t)
+
+    def at(self, ts) -> np.ndarray:
+        """The solution at each of the times ``ts``, as a (ts.size, n) array.
+
+        Row k equals self(ts[k]) bit for bit; each step evaluates all of its
+        times in one pass.
+        """
+        ts = np.asarray(ts, dtype=float)
+        segments = np.clip(np.searchsorted(self.ts, ts, side="left") - 1, 0, len(self.steps) - 1)
+        out = np.empty((ts.size, self.steps[0].y_old.size))
+        # group the times by step (np.unique would import numpy.ma)
+        order = np.argsort(segments, kind="stable")
+        for rows in np.split(order, np.flatnonzero(np.diff(segments[order])) + 1):
+            out[rows] = self.steps[segments[rows[0]]].at(ts[rows])
+        return out
 
 
 def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
@@ -875,34 +900,6 @@ CSV_COLUMNS = (
 INVARIANTS_COLUMNS = ("t",) + COLUMNS[_ROW["H"]:]
 
 
-def atomic_write_text(path: str, content: str):
-    """Write via a temp file in the same directory, then rename."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_table(path: str, names, columns):
-    """Write equal-length columns as CSV under the header `names`.
-
-    A column is a sequence of strings, written as they are, or of numbers,
-    written as "%.17g" (exactly what f"{x:.17g}" prints for a float).
-    """
-    columns = [col if isinstance(col[0], str) else np.asarray(col, dtype=float).tolist()
-               for col in columns]
-    fmt = ",".join("%s" if isinstance(col[0], str) else "%.17g" for col in columns)
-    lines = [",".join(names)]
-    lines.extend(fmt % row for row in zip(*columns))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Immutable integration result: the sample table plus events.
@@ -933,9 +930,32 @@ class Trajectory:
         """Evaluate the dense solution at any time inside the span."""
         return _phase_from_y8(_project_constraint(self._y8_at(t), self.params.radius, t))
 
-    def _y8_at(self, t: float) -> np.ndarray:
+    def ambient_points(self, ts) -> np.ndarray:
+        """The ambient points at the times ``ts``, as a (4, ts.size) array.
+
+        Column k equals ambient_at(ts[k]).z bit for bit: ambient-form runs
+        evaluate the dense solution one step at a time and scale the points
+        onto the shell in one array operation.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if self.chart is None:
+            self._check_span(ts.min())
+            self._check_span(ts.max())
+            z = self.sol.at(ts)[:, :4].T
+        else:
+            z = np.array([self._y8_at(float(t))[:4] for t in ts]).T
+        quad = z[0] * z[0] + z[1] * z[1] - z[2] * z[2] - z[3] * z[3]
+        on_shell = (quad > 0.0) & (quad < math.inf)
+        if not on_shell.all():
+            self.ambient_at(float(ts[np.argmin(on_shell)]))  # raises as it does alone
+        return z * (self.params.radius / np.sqrt(quad))
+
+    def _check_span(self, t: float):
         if not (self.sol.t_min - 1e-12 <= t <= self.sol.t_max + 1e-12):
             raise ValueError(f"t = {t} outside the integrated span")
+
+    def _y8_at(self, t: float) -> np.ndarray:
+        self._check_span(t)
         y = np.asarray(self.sol(t), dtype=float)
         if self.chart is None:
             return y
@@ -988,8 +1008,9 @@ def integrate(
         if not np.all(np.isfinite(y80)):
             raise OverflowError
         h0val = hamiltonian(initial, params, mode)
-    except OverflowError:
-        # math.cosh and the like raise where numpy gives inf
+    except (OverflowError, ZeroDivisionError):
+        # math.cosh and the like raise where numpy gives inf, and float
+        # division raises where a denominator (sinh^2 q1, R^2) underflows to 0
         raise IntegrationError("non-finite initial data") from None
     chart = initial.point.chart
     start = np.array(

@@ -35,11 +35,11 @@ The inner parametrization is two-to-one ((-mu, phi+pi) is the same point);
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .duals import _real, any_row, cos, cosh, guarded, nonzeroish, sin, sinh
+from .regimes import ChartId, ModelParams
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,38 +54,6 @@ CONSTRAINT_RTOL = 1e-8
 EPS = float(np.finfo(float).eps)
 # unembed takes q1 from the transverse components below sinh^2 / sin^2 q1 = this
 NEAR_POLE = 1e-4
-
-
-class ChartId(Enum):
-    OUTER_PLUS = "outer_plus"
-    OUTER_MINUS = "outer_minus"
-    INNER_PLUS = "inner_plus"
-    INNER_MINUS = "inner_minus"
-
-    @property
-    def is_outer(self) -> bool:
-        return self in (ChartId.OUTER_PLUS, ChartId.OUTER_MINUS)
-
-    @property
-    def sheet_sign(self) -> float:
-        """Sign of z0 on this chart."""
-        if self in (ChartId.OUTER_PLUS, ChartId.INNER_PLUS):
-            return 1.0
-        return -1.0
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Oscillator frequency and hyperboloid radius (omega = 0 is free motion)."""
-
-    omega: float = 1.0
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if not (self.omega >= 0.0):
-            raise ValueError(f"omega must be >= 0, got {self.omega}")
-        if not (self.radius > 0.0):
-            raise ValueError(f"radius must be > 0, got {self.radius}")
 
 
 @dataclass(frozen=True)

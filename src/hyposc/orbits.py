@@ -22,68 +22,51 @@ Negative L^2 has x1 < 0 < x2: the orbit crosses the cone |z0| = R, and the
 signed s runs between -sin^2 chi_max and sinh^2 r_max (cot^2 chi_max = -1/x1,
 coth^2 r_max = 1/x2).  Orbit curves for L^2 > 0 are conics of the Beltrami
 coordinates; negative-L^2 curves are given chartwise in (tau, r) and (mu, chi).
+
+The classification by regime, conic, turning radii and period is in
+`regimes`, which needs no numpy; its names are re-exported here.
 """
 
 import json
 import math
 import os
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import ChartId, ChartPoint, ModelParams, PhaseState
-from .dynamics import IntegrationConfig, atomic_write_text, integrate, write_table
-
-CLASS_BAND = 1e-12  # relative band for threshold equality tests
-
-
-class RadialRegime(Enum):
-    BOUNDED_GENERIC = "BoundedGeneric"
-    CIRCULAR = "Circular"
-    UNBOUNDED_GENERIC = "UnboundedGeneric"
-    THRESHOLD = "Threshold"
-    REPULSIVE_L2 = "RepulsiveL2"
-    NEG_L2_BOUNDED = "NegL2Bounded"
-    NEG_L2_UNBOUNDED = "NegL2Unbounded"
-    ZERO_L2_BOUNDED = "ZeroL2Bounded"
-    ZERO_L2_UNBOUNDED = "ZeroL2Unbounded"
-    FORBIDDEN = "Forbidden"
-
-
-class ConicKind(Enum):
-    ELLIPSE = "Ellipse"
-    CIRCLE = "Circle"
-    ULTRAELLIPSE = "Ultraellipse"
-    EQUIDISTANT = "Equidistant"
-    NONE = "None"
+from .geometry import ChartId, ChartPoint, PhaseState
+from .files import atomic_write_text, table_text, write_table
+# the scalar regime analysis, re-exported here
+from .regimes import (  # noqa: F401
+    CLASS_BAND,
+    Carrier,
+    ConicKind,
+    ConicParams,
+    ModelParams,
+    OrbitClassification,
+    RadialRegime,
+    classify,
+    eff_minimum,
+    inner_turning_angle,
+    orbit_conic,
+    period_formula,
+    radial_roots,
+    turning_radii,
+    _BOUNDED,
+    _regime_only,
+)
 
 
-class Carrier(Enum):
-    TWO_SHEETED_UPPER = "TwoSheetedUpper"
-    TWO_SHEETED_LOWER = "TwoSheetedLower"
-    ONE_SHEETED = "OneSheeted"
-    HYPERBOLIC_CYLINDER = "HyperbolicCylinder"
+def __getattr__(name):
+    # fig9 imports the integrator when it runs, so that the other figures and
+    # canonical_state load no `dynamics`; the name stays reachable here for
+    # bench/tracer.py, which wraps it on this module
+    if name == "integrate":
+        from .dynamics import integrate
 
-
-@dataclass(frozen=True)
-class ConicParams:
-    p: float
-    eps: float
-    a_sq: float
-    b_sq: float
-    kind: ConicKind
-
-
-@dataclass(frozen=True)
-class OrbitClassification:
-    regime: RadialRegime
-    conic: Optional[ConicParams]
-    r_min: Optional[float]
-    r_max: Optional[float]
-    period: Optional[float]
-    carrier: Carrier
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +81,7 @@ class ConvergenceReport:
 
 
 # ---------------------------------------------------------------------------
-# effective potential and turning structure
+# effective potential
 # ---------------------------------------------------------------------------
 
 
@@ -112,151 +95,6 @@ def effective_potential(r, l_sq: float, params: ModelParams):
     if l_sq != 0.0:
         u = u + l_sq / (2.0 * params.radius**2 * np.sinh(r) ** 2)
     return u
-
-
-def eff_minimum(l_sq: float, params: ModelParams):
-    """Interior minimum (r0, e_min), existing iff 0 <= l_sq < omega^2 R^4.
-
-    r0 = atanh((L^2/omega^2 R^4)^{1/4}), e_min = omega sqrt(L^2) - L^2/(2R^2).
-    """
-    w2r4 = params.omega**2 * params.radius**4
-    if l_sq < 0.0 or l_sq >= w2r4:
-        return None
-    if l_sq == 0.0:
-        return (0.0, 0.0)
-    r0 = math.atanh((l_sq / w2r4) ** 0.25)
-    e_min = params.omega * math.sqrt(l_sq) - l_sq / (2.0 * params.radius**2)
-    return (r0, e_min)
-
-
-def radial_roots(e: float, l_sq: float, params: ModelParams):
-    """Roots (x1 <= x2) of the turning quadratic in X = tanh^2 r."""
-    w2r4 = params.omega**2 * params.radius**4
-    b = 2.0 * params.radius**2 * e + l_sq
-    disc = b * b - 4.0 * l_sq * w2r4
-    if disc < 0.0:
-        # energies inside the circular classification band produce a
-        # discriminant of order 4 R^2 |b| * band through rounding alone;
-        # collapse those onto the double root instead of raising
-        band = CLASS_BAND * max(1.0, abs(e), 0.5 * params.omega**2 * params.radius**2)
-        if disc < -4.0 * params.radius**2 * max(1.0, abs(b)) * band:
-            raise ValueError("no real turning structure: energy below the potential minimum")
-        disc = 0.0
-    root = math.sqrt(disc)
-    return ((b - root) / (2.0 * w2r4), (b + root) / (2.0 * w2r4))
-
-
-def period_formula(e: float, params: ModelParams) -> float:
-    """Radial period of bounded motion, T = pi / (omega sqrt(1 - 2E/omega^2R^2))."""
-    w2r2 = params.omega**2 * params.radius**2
-    return math.pi / (params.omega * math.sqrt(1.0 - 2.0 * e / w2r2))
-
-
-def turning_radii(e: float, l_sq: float, params: ModelParams):
-    """(r_min, r_max) from the turning roots; entries are None when absent.
-
-    For l_sq < 0 there is no outer minimum (the orbit crosses the cone into
-    the inner chart; see inner_turning_angle) and r_min is None.  Unbounded
-    regimes have r_max = None.
-    """
-    cls_regime = _regime_only(e, l_sq, params)
-    if cls_regime == RadialRegime.FORBIDDEN:
-        return (None, None)
-    x1, x2 = radial_roots(e, l_sq, params)
-    r_min = None
-    r_max = None
-    if x1 > 0.0:
-        r_min = math.atanh(math.sqrt(min(x1, 1.0)))
-    elif x1 == 0.0:
-        r_min = 0.0
-    if 0.0 < x2 < 1.0:
-        r_max = math.atanh(math.sqrt(x2))
-    if cls_regime in (
-        RadialRegime.UNBOUNDED_GENERIC,
-        RadialRegime.THRESHOLD,
-        RadialRegime.REPULSIVE_L2,
-        RadialRegime.ZERO_L2_UNBOUNDED,
-        RadialRegime.NEG_L2_UNBOUNDED,
-    ):
-        r_max = None
-    return (r_min, r_max)
-
-
-def inner_turning_angle(e: float, l_sq: float, params: ModelParams) -> float:
-    """chi_max of the inner-chart excursion for l_sq < 0: cot^2 chi_max = -1/x1."""
-    if l_sq >= 0.0:
-        raise ValueError("inner excursion exists only for l_sq < 0")
-    x1, _ = radial_roots(e, l_sq, params)
-    return math.atan(math.sqrt(-x1))
-
-
-# ---------------------------------------------------------------------------
-# classification
-# ---------------------------------------------------------------------------
-
-
-def _regime_only(e: float, l_sq: float, params: ModelParams) -> RadialRegime:
-    w2r2 = params.omega**2 * params.radius**2
-    w2r4 = params.omega**2 * params.radius**4
-    half = 0.5 * w2r2
-    be = CLASS_BAND * max(1.0, abs(e), half)
-    bl = CLASS_BAND * max(1.0, abs(l_sq), w2r4)
-
-    if l_sq < -bl:
-        return (
-            RadialRegime.NEG_L2_BOUNDED
-            if e < half - be
-            else RadialRegime.NEG_L2_UNBOUNDED
-        )
-    if abs(l_sq) <= bl:
-        if e <= be:
-            return RadialRegime.FORBIDDEN
-        return (
-            RadialRegime.ZERO_L2_BOUNDED if e < half - be else RadialRegime.ZERO_L2_UNBOUNDED
-        )
-    if l_sq < w2r4 * (1.0 - CLASS_BAND):
-        _, e_min = eff_minimum(l_sq, params)
-        if e < e_min - be:
-            return RadialRegime.FORBIDDEN
-        if abs(e - e_min) <= be:
-            return RadialRegime.CIRCULAR
-        if e < half - be:
-            return RadialRegime.BOUNDED_GENERIC
-        if abs(e - half) <= be:
-            return RadialRegime.THRESHOLD
-        return RadialRegime.UNBOUNDED_GENERIC
-    # repulsive branch: U_eff decreases monotonically to omega^2 R^2 / 2
-    return RadialRegime.REPULSIVE_L2 if e > half + be else RadialRegime.FORBIDDEN
-
-
-_BOUNDED = (
-    RadialRegime.BOUNDED_GENERIC,
-    RadialRegime.CIRCULAR,
-    RadialRegime.NEG_L2_BOUNDED,
-    RadialRegime.ZERO_L2_BOUNDED,
-)
-
-
-def classify(e: float, l_sq: float, params: ModelParams) -> OrbitClassification:
-    """Total classification of (E, L^2) into regime, conic, radii, period, carrier."""
-    regime = _regime_only(e, l_sq, params)
-    bl = CLASS_BAND * max(1.0, abs(l_sq))
-    if l_sq < -bl:
-        carrier = Carrier.ONE_SHEETED
-    elif abs(l_sq) <= bl:
-        carrier = Carrier.HYPERBOLIC_CYLINDER
-    else:
-        carrier = Carrier.TWO_SHEETED_UPPER
-
-    if regime == RadialRegime.FORBIDDEN:
-        return OrbitClassification(regime, None, None, None, None, carrier)
-
-    conic = None
-    if l_sq > bl:
-        conic = orbit_conic(e, l_sq, params)
-    r_min, r_max = turning_radii(e, l_sq, params)
-    period = period_formula(e, params) if regime in _BOUNDED else None
-    return OrbitClassification(regime, conic, r_min, r_max, period, carrier)
 
 
 # ---------------------------------------------------------------------------
@@ -443,43 +281,6 @@ def angular_solution(l_sq: float, pphi: float, phi0: float = 0.0) -> AngularSolu
         return AngularSolution("constant_phi", phi0, 0.0)
     c = abs(pphi) / math.sqrt(pphi * pphi - l_sq)
     return AngularSolution("neg_l2", phi0, c)
-
-
-# ---------------------------------------------------------------------------
-# conics
-# ---------------------------------------------------------------------------
-
-
-def orbit_conic(e: float, l_sq: float, params: ModelParams) -> ConicParams:
-    """Conic data of the Beltrami-coordinate orbit for l_sq > 0.
-
-    p = 2L^2/(2ER^2 + L^2), eps = sqrt(1 - 4 omega^2 R^4 L^2/(2ER^2+L^2)^2);
-    the semi-axes B^2 = p/(1+eps), A^2 = p/(1-eps) coincide with the turning
-    roots x1, x2, so B^2 A^2 = L^2/(omega^2 R^4).
-    """
-    if l_sq <= 0.0:
-        raise ValueError("conic form requires l_sq > 0")
-    em = eff_minimum(l_sq, params)
-    if em is not None and e < em[1] - CLASS_BAND * max(1.0, abs(e)):
-        raise ValueError("energy below the effective-potential minimum")
-    b = 2.0 * params.radius**2 * e + l_sq
-    p = 2.0 * l_sq / b
-    arg = 1.0 - 4.0 * params.omega**2 * params.radius**4 * l_sq / (b * b)
-    eps = math.sqrt(max(arg, 0.0))
-    b_sq = p / (1.0 + eps)
-    a_sq = p / (1.0 - eps) if eps < 1.0 else math.inf
-    band = CLASS_BAND
-    if eps <= band:
-        kind = ConicKind.CIRCLE
-    elif abs(a_sq - 1.0) <= band * max(1.0, a_sq):
-        kind = ConicKind.EQUIDISTANT
-    elif a_sq < 1.0:
-        kind = ConicKind.ELLIPSE
-    elif b_sq < 1.0:
-        kind = ConicKind.ULTRAELLIPSE
-    else:
-        kind = ConicKind.NONE
-    return ConicParams(p, eps, a_sq, b_sq, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +547,8 @@ def _ueff_figure(fig_id: str, out_dir: str, params: ModelParams) -> dict:
     }
 
 
-def _upper_sheet_mesh(out_dir: str, fname: str, params: ModelParams) -> dict:
+def _upper_sheet_mesh(params: ModelParams) -> str:
+    """CSV text of the upper-sheet carrier mesh, the same for figs 4-7."""
     rs = np.linspace(0.0, 2.5, 36)
     phis = np.linspace(0.0, 2.0 * math.pi, 73)
     rows = []
@@ -756,11 +558,10 @@ def _upper_sheet_mesh(out_dir: str, fname: str, params: ModelParams) -> dict:
             rows.append(
                 (i, j, R * math.cosh(rr), 0.0, R * math.sinh(rr) * math.cos(ph), R * math.sinh(rr) * math.sin(ph))
             )
-    write_table(os.path.join(out_dir, fname), _MESH_COLUMNS, list(zip(*rows)))
-    return {"file": fname, "kind": "carrier", "surface": "TwoSheetedUpper", "grid": [36, 73]}
+    return table_text(_MESH_COLUMNS, list(zip(*rows)))
 
 
-def _conic_figure(fig_id: str, out_dir: str, params: ModelParams) -> dict:
+def _conic_figure(fig_id: str, out_dir: str, params: ModelParams, carrier: str) -> dict:
     R = params.radius
     th2_cap = math.tanh(_R_CAP) ** 2
     datasets = []
@@ -785,7 +586,11 @@ def _conic_figure(fig_id: str, out_dir: str, params: ModelParams) -> dict:
         datasets.append(
             {"file": fname, "kind": "orbit", "params": {"p": p, "eps": eps}}
         )
-    datasets.append(_upper_sheet_mesh(out_dir, f"{fig_id}_carrier.csv", params))
+    fname = f"{fig_id}_carrier.csv"
+    atomic_write_text(os.path.join(out_dir, fname), carrier)
+    datasets.append(
+        {"file": fname, "kind": "carrier", "surface": "TwoSheetedUpper", "grid": [36, 73]}
+    )
     return {"figure": fig_id, "caption": _CAPTIONS[fig_id], "datasets": datasets}
 
 
@@ -868,6 +673,8 @@ def _cylinder_mesh(out_dir: str, fname: str, params: ModelParams) -> dict:
 
 def _fig9(out_dir: str, params: ModelParams) -> dict:
     """Numerically integrated L^2 = 0 orbits with p_phi = 1 (through the pole)."""
+    from .dynamics import IntegrationConfig, integrate
+
     R = params.radius
     w2r2 = params.omega**2 * R * R
     datasets = []
@@ -888,13 +695,9 @@ def _fig9(out_dir: str, params: ModelParams) -> dict:
         st = PhaseState(ChartPoint(ChartId.OUTER_PLUS, r0, 0.0, 0.0), p1, 1.0, 1.0)
         traj = integrate(st, params, IntegrationConfig(t_span=(0.0, window)))
         ts = np.linspace(0.0, window, N_ORBIT_SAMPLES)
-        rows = []
-        for t in ts:
-            ph = traj.ambient_at(float(t))
-            rows.append((t, ph.z.z0, ph.z.z1, ph.z.z2, ph.z.z3))
         fname = f"fig9_orbit_e{e:g}.csv"
         write_table(os.path.join(out_dir, fname), ("t", "z0", "z1", "z2", "z3"),
-                    list(zip(*rows)))
+                    [ts, *traj.ambient_points(ts)])
         datasets.append(
             {
                 "file": fname,
@@ -911,13 +714,15 @@ def export_figures(fig_ids, out_dir: str, params: Optional[ModelParams] = None) 
     params = params or ModelParams()
     os.makedirs(out_dir, exist_ok=True)
     entries = []
+    carrier = None  # upper-sheet mesh of figs 4-7, built on first use
     for fig_id in fig_ids:
         if fig_id not in FIGURE_IDS:
             raise ValueError(f"unknown figure id {fig_id!r}")
         if fig_id in _UEFF_FAMILIES:
             entries.append(_ueff_figure(fig_id, out_dir, params))
         elif fig_id in _CONIC_FAMILIES:
-            entries.append(_conic_figure(fig_id, out_dir, params))
+            carrier = carrier or _upper_sheet_mesh(params)
+            entries.append(_conic_figure(fig_id, out_dir, params, carrier))
         elif fig_id == "fig8":
             entries.append(_fig8(out_dir, params))
         else:

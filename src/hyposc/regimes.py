@@ -1,0 +1,292 @@
+"""Closed-form regime analysis of the oscillator, on the standard library alone.
+
+Radial motion separates in X = tanh^2 r: the turning values x1 <= x2 are the
+roots of omega^2 R^4 X^2 - (2R^2 E + L^2) X + L^2 = 0.  From them and the
+energy band E < omega^2 R^2 / 2, `classify` sorts (E, L^2) into a radial
+regime, a Beltrami conic (for L^2 > 0), turning radii, the radial period
+and the carrier surface: bounded ellipses and circles, unbounded
+ultraellipses and equidistant curves, and the L^2 <= 0 families.
+
+This module imports no numpy, so `hyposc classify` starts without it;
+`geometry` and `orbits` re-export its names.  It keeps `math` for every
+transcendental function, whose results numpy does not reproduce bit for bit.
+"""
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+from typing import Optional
+
+CLASS_BAND = 1e-12  # relative band for threshold equality tests
+
+
+class ChartId(Enum):
+    OUTER_PLUS = "outer_plus"
+    OUTER_MINUS = "outer_minus"
+    INNER_PLUS = "inner_plus"
+    INNER_MINUS = "inner_minus"
+
+    @property
+    def is_outer(self) -> bool:
+        return self in (ChartId.OUTER_PLUS, ChartId.OUTER_MINUS)
+
+    @property
+    def sheet_sign(self) -> float:
+        """Sign of z0 on this chart."""
+        if self in (ChartId.OUTER_PLUS, ChartId.INNER_PLUS):
+            return 1.0
+        return -1.0
+
+
+@dataclass(frozen=True)
+class ModelParams:
+    """Oscillator frequency and hyperboloid radius (omega = 0 is free motion)."""
+
+    omega: float = 1.0
+    radius: float = 1.0
+
+    def __post_init__(self):
+        if not (self.omega >= 0.0):
+            raise ValueError(f"omega must be >= 0, got {self.omega}")
+        if not (self.radius > 0.0):
+            raise ValueError(f"radius must be > 0, got {self.radius}")
+
+
+class RadialRegime(Enum):
+    BOUNDED_GENERIC = "BoundedGeneric"
+    CIRCULAR = "Circular"
+    UNBOUNDED_GENERIC = "UnboundedGeneric"
+    THRESHOLD = "Threshold"
+    REPULSIVE_L2 = "RepulsiveL2"
+    NEG_L2_BOUNDED = "NegL2Bounded"
+    NEG_L2_UNBOUNDED = "NegL2Unbounded"
+    ZERO_L2_BOUNDED = "ZeroL2Bounded"
+    ZERO_L2_UNBOUNDED = "ZeroL2Unbounded"
+    FORBIDDEN = "Forbidden"
+
+
+class ConicKind(Enum):
+    ELLIPSE = "Ellipse"
+    CIRCLE = "Circle"
+    ULTRAELLIPSE = "Ultraellipse"
+    EQUIDISTANT = "Equidistant"
+    NONE = "None"
+
+
+class Carrier(Enum):
+    TWO_SHEETED_UPPER = "TwoSheetedUpper"
+    TWO_SHEETED_LOWER = "TwoSheetedLower"
+    ONE_SHEETED = "OneSheeted"
+    HYPERBOLIC_CYLINDER = "HyperbolicCylinder"
+
+
+@dataclass(frozen=True)
+class ConicParams:
+    p: float
+    eps: float
+    a_sq: float
+    b_sq: float
+    kind: ConicKind
+
+
+@dataclass(frozen=True)
+class OrbitClassification:
+    regime: RadialRegime
+    conic: Optional[ConicParams]
+    r_min: Optional[float]
+    r_max: Optional[float]
+    period: Optional[float]
+    carrier: Carrier
+
+
+# ---------------------------------------------------------------------------
+# turning structure
+# ---------------------------------------------------------------------------
+
+
+def eff_minimum(l_sq: float, params: ModelParams):
+    """Interior minimum (r0, e_min), existing iff 0 <= l_sq < omega^2 R^4.
+
+    r0 = atanh((L^2/omega^2 R^4)^{1/4}), e_min = omega sqrt(L^2) - L^2/(2R^2).
+    """
+    w2r4 = params.omega**2 * params.radius**4
+    if l_sq < 0.0 or l_sq >= w2r4:
+        return None
+    if l_sq == 0.0:
+        return (0.0, 0.0)
+    r0 = math.atanh((l_sq / w2r4) ** 0.25)
+    e_min = params.omega * math.sqrt(l_sq) - l_sq / (2.0 * params.radius**2)
+    return (r0, e_min)
+
+
+def radial_roots(e: float, l_sq: float, params: ModelParams):
+    """Roots (x1 <= x2) of the turning quadratic in X = tanh^2 r."""
+    w2r4 = params.omega**2 * params.radius**4
+    if w2r4 == 0.0:
+        # omega = 0, or omega^2 R^4 below the smallest float: the quadratic
+        # has lost its leading term
+        raise ValueError(f"no turning structure: omega^2 R^4 = 0 at omega = "
+                         f"{params.omega:g}, R = {params.radius:g}")
+    b = 2.0 * params.radius**2 * e + l_sq
+    disc = b * b - 4.0 * l_sq * w2r4
+    if disc < 0.0:
+        # energies inside the circular classification band produce a
+        # discriminant of order 4 R^2 |b| * band through rounding alone;
+        # collapse those onto the double root instead of raising
+        band = CLASS_BAND * max(1.0, abs(e), 0.5 * params.omega**2 * params.radius**2)
+        if disc < -4.0 * params.radius**2 * max(1.0, abs(b)) * band:
+            raise ValueError("no real turning structure: energy below the potential minimum")
+        disc = 0.0
+    root = math.sqrt(disc)
+    return ((b - root) / (2.0 * w2r4), (b + root) / (2.0 * w2r4))
+
+
+def period_formula(e: float, params: ModelParams) -> float:
+    """Radial period of bounded motion, T = pi / (omega sqrt(1 - 2E/omega^2R^2))."""
+    w2r2 = params.omega**2 * params.radius**2
+    return math.pi / (params.omega * math.sqrt(1.0 - 2.0 * e / w2r2))
+
+
+def turning_radii(e: float, l_sq: float, params: ModelParams):
+    """(r_min, r_max) from the turning roots; entries are None when absent.
+
+    For l_sq < 0 there is no outer minimum (the orbit crosses the cone into
+    the inner chart; see inner_turning_angle) and r_min is None.  Unbounded
+    regimes have r_max = None.
+    """
+    cls_regime = _regime_only(e, l_sq, params)
+    if cls_regime == RadialRegime.FORBIDDEN:
+        return (None, None)
+    x1, x2 = radial_roots(e, l_sq, params)
+    r_min = None
+    r_max = None
+    if x1 > 0.0:
+        r_min = math.atanh(math.sqrt(min(x1, 1.0)))
+    elif x1 == 0.0:
+        r_min = 0.0
+    if 0.0 < x2 < 1.0:
+        r_max = math.atanh(math.sqrt(x2))
+    if cls_regime in (
+        RadialRegime.UNBOUNDED_GENERIC,
+        RadialRegime.THRESHOLD,
+        RadialRegime.REPULSIVE_L2,
+        RadialRegime.ZERO_L2_UNBOUNDED,
+        RadialRegime.NEG_L2_UNBOUNDED,
+    ):
+        r_max = None
+    return (r_min, r_max)
+
+
+def inner_turning_angle(e: float, l_sq: float, params: ModelParams) -> float:
+    """chi_max of the inner-chart excursion for l_sq < 0: cot^2 chi_max = -1/x1."""
+    if l_sq >= 0.0:
+        raise ValueError("inner excursion exists only for l_sq < 0")
+    x1, _ = radial_roots(e, l_sq, params)
+    return math.atan(math.sqrt(-x1))
+
+
+# ---------------------------------------------------------------------------
+# classification
+# ---------------------------------------------------------------------------
+
+
+def _regime_only(e: float, l_sq: float, params: ModelParams) -> RadialRegime:
+    w2r2 = params.omega**2 * params.radius**2
+    w2r4 = params.omega**2 * params.radius**4
+    half = 0.5 * w2r2
+    be = CLASS_BAND * max(1.0, abs(e), half)
+    bl = CLASS_BAND * max(1.0, abs(l_sq), w2r4)
+
+    if l_sq < -bl:
+        return (
+            RadialRegime.NEG_L2_BOUNDED
+            if e < half - be
+            else RadialRegime.NEG_L2_UNBOUNDED
+        )
+    if abs(l_sq) <= bl:
+        if e <= be:
+            return RadialRegime.FORBIDDEN
+        return (
+            RadialRegime.ZERO_L2_BOUNDED if e < half - be else RadialRegime.ZERO_L2_UNBOUNDED
+        )
+    if l_sq < w2r4 * (1.0 - CLASS_BAND):
+        _, e_min = eff_minimum(l_sq, params)
+        if e < e_min - be:
+            return RadialRegime.FORBIDDEN
+        if abs(e - e_min) <= be:
+            return RadialRegime.CIRCULAR
+        if e < half - be:
+            return RadialRegime.BOUNDED_GENERIC
+        if abs(e - half) <= be:
+            return RadialRegime.THRESHOLD
+        return RadialRegime.UNBOUNDED_GENERIC
+    # repulsive branch: U_eff decreases monotonically to omega^2 R^2 / 2
+    return RadialRegime.REPULSIVE_L2 if e > half + be else RadialRegime.FORBIDDEN
+
+
+_BOUNDED = (
+    RadialRegime.BOUNDED_GENERIC,
+    RadialRegime.CIRCULAR,
+    RadialRegime.NEG_L2_BOUNDED,
+    RadialRegime.ZERO_L2_BOUNDED,
+)
+
+
+def classify(e: float, l_sq: float, params: ModelParams) -> OrbitClassification:
+    """Total classification of (E, L^2) into regime, conic, radii, period, carrier."""
+    regime = _regime_only(e, l_sq, params)
+    bl = CLASS_BAND * max(1.0, abs(l_sq))
+    if l_sq < -bl:
+        carrier = Carrier.ONE_SHEETED
+    elif abs(l_sq) <= bl:
+        carrier = Carrier.HYPERBOLIC_CYLINDER
+    else:
+        carrier = Carrier.TWO_SHEETED_UPPER
+
+    if regime == RadialRegime.FORBIDDEN:
+        return OrbitClassification(regime, None, None, None, None, carrier)
+
+    conic = None
+    if l_sq > bl:
+        conic = orbit_conic(e, l_sq, params)
+    r_min, r_max = turning_radii(e, l_sq, params)
+    period = period_formula(e, params) if regime in _BOUNDED else None
+    return OrbitClassification(regime, conic, r_min, r_max, period, carrier)
+
+
+# ---------------------------------------------------------------------------
+# conics
+# ---------------------------------------------------------------------------
+
+
+def orbit_conic(e: float, l_sq: float, params: ModelParams) -> ConicParams:
+    """Conic data of the Beltrami-coordinate orbit for l_sq > 0.
+
+    p = 2L^2/(2ER^2 + L^2), eps = sqrt(1 - 4 omega^2 R^4 L^2/(2ER^2+L^2)^2);
+    the semi-axes B^2 = p/(1+eps), A^2 = p/(1-eps) coincide with the turning
+    roots x1, x2, so B^2 A^2 = L^2/(omega^2 R^4).
+    """
+    if l_sq <= 0.0:
+        raise ValueError("conic form requires l_sq > 0")
+    em = eff_minimum(l_sq, params)
+    if em is not None and e < em[1] - CLASS_BAND * max(1.0, abs(e)):
+        raise ValueError("energy below the effective-potential minimum")
+    b = 2.0 * params.radius**2 * e + l_sq
+    p = 2.0 * l_sq / b
+    arg = 1.0 - 4.0 * params.omega**2 * params.radius**4 * l_sq / (b * b)
+    eps = math.sqrt(max(arg, 0.0))
+    b_sq = p / (1.0 + eps)
+    a_sq = p / (1.0 - eps) if eps < 1.0 else math.inf
+    band = CLASS_BAND
+    if eps <= band:
+        kind = ConicKind.CIRCLE
+    elif abs(a_sq - 1.0) <= band * max(1.0, a_sq):
+        kind = ConicKind.EQUIDISTANT
+    elif a_sq < 1.0:
+        kind = ConicKind.ELLIPSE
+    elif b_sq < 1.0:
+        kind = ConicKind.ULTRAELLIPSE
+    else:
+        kind = ConicKind.NONE
+    return ConicParams(p, eps, a_sq, b_sq, kind)
+

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -199,6 +200,50 @@ def test_simulate_overflowing_initial_state_is_a_numeric_error(tmp_path, capsys)
     state = dict(_STATE, q1=1e3, p1=0.1, pphi=0.0)
     code, err = _simulate_exit(tmp_path, capsys, _base_config(initial={"state": state}))
     assert code == EXIT_NUMERIC and "non-finite initial data" in err
+
+
+@pytest.mark.parametrize("overrides, code", [
+    # sinh^2 q1 underflows to 0 under an angular momentum
+    ({"initial": {"state": dict(_STATE, q1=1e-300)}}, EXIT_NUMERIC),
+    # R^2 underflows to 0
+    ({"params": {"omega": 1.0, "radius": 1e-300}, "initial": {"state": _STATE}}, EXIT_NUMERIC),
+    # omega^2 R^4 underflows to 0 in the report's classification
+    ({"params": {"omega": 1e-300, "radius": 1.0}, "initial": {"state": _STATE}}, EXIT_NUMERIC),
+    ({"params": {"omega": 1e-300, "radius": 1.0}}, EXIT_CONFIG),
+], ids=["q1", "radius", "omega", "omega-analytic"])
+def test_simulate_tiny_positive_values_fail_with_one_line(tmp_path, capsys, overrides, code):
+    got, err = _simulate_exit(tmp_path, capsys, _base_config(**overrides))
+    assert got == code and err.count("\n") == 1, err
+    assert not (tmp_path / "x").exists()
+
+
+def test_classify_zero_omega_is_a_config_error(capsys):
+    assert main(["classify", "0.4", "0.25", "--omega", "0"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "classify: no turning structure: omega^2 R^4 = 0 at omega = 0, R = 1\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "figure", "verify"])
+def test_unwritable_output_is_a_config_error_naming_the_path(tmp_path, capsys, command):
+    blocked = tmp_path / "blocked"
+    if command == "simulate":
+        # the report's path names an existing directory
+        (blocked / "report.json").mkdir(parents=True)
+        cfg = _base_config(outputs=[{"kind": "TrajectoryCsv", "path": "traj.csv"},
+                                    {"kind": "ReportJson", "path": "report.json"}])
+        args = ["simulate", "--config", _write_config(tmp_path, cfg), "--out", str(blocked)]
+        named = str(blocked / "report.json")
+    else:
+        # the output directory is a file
+        blocked.write_text("")
+        args = (["figure", "1"] if command == "figure" else ["verify", "so22", "--points", "4"])
+        args += ["--out", str(blocked)]
+        named = str(blocked)
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write outputs: ") and err.count("\n") == 1, err
+    assert repr(named) in err
+    assert not list(tmp_path.rglob(".tmp-*"))
 
 
 @pytest.mark.parametrize("suite", ["so22", "appendix_a", "identities", "all"])
@@ -455,6 +500,94 @@ def test_cli_runs_without_scipy_integrate(tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "figures" / "fig9_orbit_e0.8.csv").exists()
+
+
+def _run_cli_in_fresh_process(argvs, tmp_path):
+    """Run ``python -m hyposc.cli`` on each argv in one fresh process.
+
+    Returns each run's stdout and the modules loaded at the end.
+    """
+    code = (
+        "import contextlib, io, json, runpy, sys\n"
+        "outs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    sys.argv = ['hyposc'] + argv\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        try:\n"
+        "            runpy.run_module('hyposc.cli', run_name='__main__')\n"
+        "        except SystemExit as exc:\n"
+        "            assert exc.code == 0, (argv, exc.code)\n"
+        "    outs.append(buf.getvalue())\n"
+        "print(json.dumps([outs, sorted(sys.modules)]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("classify", ("numpy", "hyposc.geometry", "hyposc.dynamics", "hyposc.poisson",
+                  "hyposc.orbits")),
+    ("verify", ("hyposc.dynamics", "hyposc.orbits")),
+    ("simulate", ("hyposc.poisson",)),
+    ("figure", ("hyposc.poisson",)),
+    ("fig8", ("hyposc.dynamics", "hyposc.invariants", "hyposc.poisson")),
+])
+def test_each_command_loads_only_what_it_runs(tmp_path, command, absent):
+    argv = {
+        "classify": ["classify", "0.4", "0.25"],
+        "verify": ["verify", "so22", "--points", "16"],
+        "simulate": ["simulate", "--config", _write_config(tmp_path, _base_config()),
+                     "--out", "run"],
+        "figure": ["figure", "all", "--out", "figures"],
+        "fig8": ["figure", "fig8", "--out", "fig8"],
+    }[command]
+    _, modules = _run_cli_in_fresh_process([argv], tmp_path)
+    assert not set(absent) & set(modules), sorted(set(absent) & set(modules))
+
+
+def _regime_points(omega, radius):
+    """One (E, L^2) point inside each of the ten radial regimes."""
+    half, w2r4 = 0.5 * omega**2 * radius**2, omega**2 * radius**4
+    rng = random.Random(f"{omega}-{radius}")
+    u = rng.random
+    l_in = w2r4 * (0.1 + 0.8 * u())  # 0 < L^2 < omega^2 R^4: an interior minimum
+    e_min = omega * math.sqrt(l_in) - l_in / (2.0 * radius**2)
+    return {
+        "BoundedGeneric": (e_min + (half - e_min) * (0.1 + 0.8 * u()), l_in),
+        "Circular": (e_min, l_in),
+        "UnboundedGeneric": (half * (1.1 + u()), l_in),
+        "Threshold": (half, l_in),
+        "RepulsiveL2": (half * (1.1 + u()), w2r4 * (1.1 + u())),
+        "NegL2Bounded": (half * (1.8 * u() - 0.9), -w2r4 * (0.1 + u())),
+        "NegL2Unbounded": (half * (1.1 + u()), -w2r4 * (0.1 + u())),
+        "ZeroL2Bounded": (half * (0.1 + 0.8 * u()), 0.0),
+        "ZeroL2Unbounded": (half * (1.1 + u()), 0.0),
+        "Forbidden": (e_min - half * (0.1 + u()), l_in),
+    }
+
+
+def test_classify_in_a_fresh_process_matches_orbits_classify(tmp_path):
+    from hyposc import orbits
+
+    argvs, expected = [], []
+    for omega, radius in ((1.0, 1.0), (2.0, 0.5), (0.5, 3.0)):
+        params = orbits.ModelParams(omega, radius)
+        for regime, (e, l_sq) in _regime_points(omega, radius).items():
+            oc = orbits.classify(e, l_sq, params)
+            assert oc.regime.value == regime
+            argvs.append(["classify", repr(e), repr(l_sq), "--omega", repr(omega),
+                          "--radius", repr(radius)])
+            data = {"e": e, "l_sq": l_sq, "omega": omega, "radius": radius}
+            data.update(cli._classification_dict(oc))
+            expected.append(json.dumps(data, indent=2) + "\n")
+    outs, modules = _run_cli_in_fresh_process(argvs, tmp_path)
+    assert "numpy" not in modules
+    assert outs == expected
 
 
 def test_package_exports_resolve_once():

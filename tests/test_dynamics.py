@@ -530,6 +530,27 @@ def test_trajectory_dense_eval_matches_samples(case_a):
         traj.ambient_at(1e6)
 
 
+def _zero_l2_through_the_pole(params):
+    """An L^2 = 0 orbit with p_phi = 1, integrated in ambient form (as in fig9)."""
+    state = PhaseState(ChartPoint(ChartId.OUTER_PLUS, 0.6, 0.0, 0.0), 0.0, 1.0, 1.0)
+    return integrate(state, params, IntegrationConfig(t_span=(0.0, 9.0)))
+
+
+@pytest.mark.parametrize("which", ["chart", "ambient"])
+def test_ambient_points_match_ambient_at_bit_for_bit(case_a, params, which):
+    traj = case_a["traj"] if which == "chart" else _zero_l2_through_the_pole(params)
+    assert (traj.chart is None) == (which == "ambient")
+    t0, t1 = traj.times[0], traj.times[-1]
+    # a grid, every step boundary (evaluated on the earlier step) and the span ends
+    ts = np.concatenate([np.linspace(t0, t1, 720), traj.times, [t1 + 1e-12]])
+    got = traj.ambient_points(ts)
+    want = np.array([traj.ambient_at(float(t)).z.array for t in ts]).T
+    assert got.shape == (4, ts.size)
+    npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    with pytest.raises(ValueError, match="outside the integrated span"):
+        traj.ambient_points([t0, t1 + 1e-6])
+
+
 INVARIANT_COLUMNS = ("H", "N1", "N2", "N3", "L1", "L2", "L3", "Lsq", "C1", "C2",
                      "D11", "D12", "D13", "D22", "D23", "D33")
 

@@ -485,6 +485,17 @@ def test_export_figure_curves_match_potential(params, tmp_path):
             npt.assert_allclose(u, effective_potential(r, l_sq, params), rtol=1e-12, atol=1e-12)
 
 
+def test_conic_figures_share_one_carrier(params, tmp_path):
+    # figs 4-7 draw their orbits on the same upper-sheet mesh, built once per call
+    manifest = export_figures(("fig4", "fig5", "fig6", "fig7"), str(tmp_path), params)
+    carriers = [ds for fig in manifest["figures"] for ds in fig["datasets"]
+                if ds["kind"] == "carrier"]
+    assert [ds["file"] for ds in carriers] == [f"fig{k}_carrier.csv" for k in range(4, 8)]
+    texts = {(tmp_path / ds["file"]).read_bytes() for ds in carriers}
+    assert len(texts) == 1
+    assert texts.pop().count(b"\n") == 1 + 36 * 73
+
+
 def test_export_figures_rejects_unknown(params, tmp_path):
     with pytest.raises(ValueError):
         export_figures(("fig12",), str(tmp_path), params)
