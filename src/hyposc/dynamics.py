@@ -93,6 +93,10 @@ CLOSURE_TOL = 1e-6
 CONSTRAINT_ABORT = 1e-8
 # chart runs need L^2 > 2 R^2 H S_BAND, which keeps sinh^2 r above S_BAND
 S_BAND = 2e-5
+# longest span integrate accepts, in dynamical times 1/(omega + sqrt(2|H|)/R);
+# runs measured 2-8 steps per dynamical time (rel_tol 1e-9 to 1e-12), so the
+# limit is a few million steps; a huge momentum (p1 = 1e154) would step forever
+MAX_DYNAMICAL_TIMES = 1e6
 
 
 class Mode(Enum):
@@ -1008,10 +1012,17 @@ def integrate(
         if not np.all(np.isfinite(y80)):
             raise OverflowError
         h0val = hamiltonian(initial, params, mode)
+        if not math.isfinite(h0val):
+            raise OverflowError
     except (OverflowError, ZeroDivisionError):
         # math.cosh and the like raise where numpy gives inf, and float
         # division raises where a denominator (sinh^2 q1, R^2) underflows to 0
         raise IntegrationError("non-finite initial data") from None
+    rate = params.omega + math.sqrt(2.0 * abs(h0val)) / R
+    n_dyn = (t1 - t0) * rate
+    if n_dyn > MAX_DYNAMICAL_TIMES:
+        raise IntegrationError(f"span of {n_dyn:.3g} dynamical times exceeds the "
+                               f"limit of {MAX_DYNAMICAL_TIMES:g}")
     chart = initial.point.chart
     start = np.array(
         [initial.point.q1, initial.point.q2, initial.point.phi,
@@ -1041,7 +1052,6 @@ def integrate(
         rhs = _ambient_rhs(params, mode)
         # re-project onto the shell about once per dynamical time; otherwise
         # the quadratic-form drift grows secularly with the span
-        rate = params.omega + math.sqrt(2.0 * abs(h0val)) / R
         dt_proj = min(t1 - t0, 1.0 / max(rate, 1e-6))
 
         def ev_cross(tt, yy):

@@ -35,8 +35,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import ChartId, ChartPoint, PhaseState
-from .files import atomic_write_text, table_text, write_table
+from .geometry import ChartId, ChartPoint, PhaseState, _embed, _trig
+from .files import atomic_write_text, table_text
 # the scalar regime analysis, re-exported here
 from .regimes import (  # noqa: F401
     CLASS_BAND,
@@ -524,41 +524,47 @@ _R_CAP = 4.0  # radial cap for unbounded curve sampling
 _R_FLOOR = 0.05
 
 
+def _dataset(out_dir: str, fname: str, names, table, **entry) -> dict:
+    """Write one CSV dataset and return its manifest entry {"file": fname, **entry}.
+
+    `table` is the columns under the header `names`, or the CSV text itself.
+    """
+    text = table if isinstance(table, str) else table_text(names, table)
+    atomic_write_text(os.path.join(out_dir, fname), text)
+    return {"file": fname, **entry}
+
+
+def _figure(fig_id: str, datasets: list) -> dict:
+    return {"figure": fig_id, "caption": _CAPTIONS[fig_id], "datasets": datasets}
+
+
+def _mesh_columns(*sheets) -> list:
+    """_MESH_COLUMNS of a carrier mesh: the grid indices and point(u, v) -> (z0..z3)
+    at each node of each sheet (us, vs, point).  point takes floats through `math`,
+    whose last bits the mesh files keep (numpy's differ)."""
+    rows = [(i, j, *point(u, v))
+            for us, vs, point in sheets for i, u in enumerate(us) for j, v in enumerate(vs)]
+    return list(zip(*rows))
+
+
 def _ueff_figure(fig_id: str, out_dir: str, params: ModelParams) -> dict:
     lsqs = _UEFF_FAMILIES[fig_id]
     r = np.linspace(_R_CAP / N_ORBIT_SAMPLES, _R_CAP, N_ORBIT_SAMPLES)
-    cols = [r]
-    names = ["r"]
-    for i, l in enumerate(lsqs):
-        cols.append(effective_potential(r, l, params))
-        names.append(f"u{i}")
-    fname = f"{fig_id}_ueff.csv"
-    write_table(os.path.join(out_dir, fname), names, cols)
-    return {
-        "figure": fig_id,
-        "caption": _CAPTIONS[fig_id],
-        "datasets": [
-            {
-                "file": fname,
-                "kind": "effective_potential",
-                "columns": {f"u{i}": {"l_sq": l} for i, l in enumerate(lsqs)},
-            }
-        ],
-    }
+    names = ["r", *(f"u{i}" for i in range(len(lsqs)))]
+    cols = [r, *(effective_potential(r, l, params) for l in lsqs)]
+    return _figure(fig_id, [_dataset(
+        out_dir, f"{fig_id}_ueff.csv", names, cols, kind="effective_potential",
+        columns={f"u{i}": {"l_sq": l} for i, l in enumerate(lsqs)},
+    )])
 
 
 def _upper_sheet_mesh(params: ModelParams) -> str:
     """CSV text of the upper-sheet carrier mesh, the same for figs 4-7."""
-    rs = np.linspace(0.0, 2.5, 36)
-    phis = np.linspace(0.0, 2.0 * math.pi, 73)
-    rows = []
     R = params.radius
-    for i, rr in enumerate(rs):
-        for j, ph in enumerate(phis):
-            rows.append(
-                (i, j, R * math.cosh(rr), 0.0, R * math.sinh(rr) * math.cos(ph), R * math.sinh(rr) * math.sin(ph))
-            )
-    return table_text(_MESH_COLUMNS, list(zip(*rows)))
+    sheet = (np.linspace(0.0, 2.5, 36), np.linspace(0.0, 2.0 * math.pi, 73),
+             lambda r, ph: (R * math.cosh(r), 0.0, R * math.sinh(r) * math.cos(ph),
+                            R * math.sinh(r) * math.sin(ph)))
+    return table_text(_MESH_COLUMNS, _mesh_columns(sheet))
 
 
 def _conic_figure(fig_id: str, out_dir: str, params: ModelParams, carrier: str) -> dict:
@@ -577,35 +583,13 @@ def _conic_figure(fig_id: str, out_dir: str, params: ModelParams, carrier: str) 
             phis = np.linspace(-phi_e, phi_e, N_ORBIT_SAMPLES)
         th2 = 1.0 / (np.cos(phis) ** 2 / b2 + np.sin(phis) ** 2 / a2)
         r = np.arctanh(np.sqrt(th2))
-        z0 = R * np.cosh(r)
-        z2 = R * np.sinh(r) * np.cos(phis)
-        z3 = R * np.sinh(r) * np.sin(phis)
-        fname = f"{fig_id}_orbit_p{p:g}_eps{eps:g}.csv"
-        write_table(os.path.join(out_dir, fname), ("phi", "z0", "z1", "z2", "z3"),
-                    [phis, z0, np.zeros_like(z0), z2, z3])
-        datasets.append(
-            {"file": fname, "kind": "orbit", "params": {"p": p, "eps": eps}}
-        )
-    fname = f"{fig_id}_carrier.csv"
-    atomic_write_text(os.path.join(out_dir, fname), carrier)
-    datasets.append(
-        {"file": fname, "kind": "carrier", "surface": "TwoSheetedUpper", "grid": [36, 73]}
-    )
-    return {"figure": fig_id, "caption": _CAPTIONS[fig_id], "datasets": datasets}
-
-
-def _one_sheeted_mesh(out_dir: str, fname: str, params: ModelParams) -> dict:
-    sig = np.linspace(-2.5, 2.5, 41)
-    alp = np.linspace(0.0, 2.0 * math.pi, 73)
-    R = params.radius
-    rows = []
-    for i, s in enumerate(sig):
-        for j, a in enumerate(alp):
-            rows.append(
-                (i, j, R * math.cosh(s) * math.cos(a), R * math.cosh(s) * math.sin(a), R * math.sinh(s), 0.0)
-            )
-    write_table(os.path.join(out_dir, fname), _MESH_COLUMNS, list(zip(*rows)))
-    return {"file": fname, "kind": "carrier", "surface": "OneSheeted", "grid": [41, 73]}
+        z = _embed(True, 1.0, R, *_trig(True, r, 0.0, phis))
+        datasets.append(_dataset(out_dir, f"{fig_id}_orbit_p{p:g}_eps{eps:g}.csv",
+                                 ("phi", "z0", "z1", "z2", "z3"), [phis, *z],
+                                 kind="orbit", params={"p": p, "eps": eps}))
+    datasets.append(_dataset(out_dir, f"{fig_id}_carrier.csv", _MESH_COLUMNS, carrier,
+                             kind="carrier", surface="TwoSheetedUpper", grid=[36, 73]))
+    return _figure(fig_id, datasets)
 
 
 def _fig8(out_dir: str, params: ModelParams) -> dict:
@@ -614,61 +598,38 @@ def _fig8(out_dir: str, params: ModelParams) -> dict:
     for e in _FIG8_ENERGIES:
         tr = trajectory_negative_l2(e, -1.0, 0.0, 0.0, params)
         # outer branch: sample tau where r stays within [floor, cap]
-        coth2_floor = 1.0 / math.tanh(_R_FLOOR) ** 2
         c1 = 0.5 - e * R * R
         c2v = math.sqrt(c1 * c1 + params.omega**2 * R**4)
-        tau_hi = 0.5 * math.acosh((coth2_floor - c1) / c2v)
+        tau_hi = 0.5 * math.acosh((1.0 / math.tanh(_R_FLOOR) ** 2 - c1) / c2v)
         if tr.tau_min is None:
             taus = np.linspace(-tau_hi, tau_hi, N_ORBIT_SAMPLES)
             arms = np.zeros_like(taus)
         else:
-            coth2_cap = 1.0 / math.tanh(_R_CAP) ** 2
-            tau_lo = 0.5 * math.acosh(max((coth2_cap - c1) / c2v, 1.0))
+            tau_lo = 0.5 * math.acosh(max((1.0 / math.tanh(_R_CAP) ** 2 - c1) / c2v, 1.0))
             half_n = N_ORBIT_SAMPLES // 2
             arm = np.linspace(tau_lo, tau_hi, half_n)
             taus = np.concatenate([-arm[::-1], arm])
             arms = np.concatenate([-np.ones(half_n), np.ones(half_n)])
-        coth2 = tr.outer(taus)
-        r = np.arctanh(1.0 / np.sqrt(coth2))
-        z0 = R * np.cosh(r)
-        z1 = R * np.sinh(r) * np.sinh(taus)
-        z2 = R * np.sinh(r) * np.cosh(taus)
-        fname = f"fig8_outer_e{e:g}.csv"
-        write_table(os.path.join(out_dir, fname), _BRANCH_COLUMNS,
-                    [arms, taus, z0, z1, z2, np.zeros_like(z0)])
-        datasets.append(
-            {"file": fname, "kind": "orbit_outer", "params": {"e": e, "l_sq": -1.0, "beta": 0.0}}
-        )
-        # inner branch
-        cot2_floor = 1.0 / math.tan(_R_FLOOR) ** 2
-        mu_cap = 0.5 * math.acosh((cot2_floor + c1) / c2v)
+        r = np.arctanh(1.0 / np.sqrt(tr.outer(taus)))
+        z = _embed(True, 1.0, R, *_trig(True, r, taus, 0.0))
+        branch = {"e": e, "l_sq": -1.0, "beta": 0.0}
+        datasets.append(_dataset(out_dir, f"fig8_outer_e{e:g}.csv", _BRANCH_COLUMNS,
+                                 [arms, taus, *z], kind="orbit_outer", params=branch))
+        # inner branch; z3 = rho sin 0 is -0.0 where mu < 0, so it is written as zeros
+        mu_cap = 0.5 * math.acosh((1.0 / math.tan(_R_FLOOR) ** 2 + c1) / c2v)
         mus = np.linspace(-mu_cap, mu_cap, N_ORBIT_SAMPLES)
-        cot2 = tr.inner(mus)
-        chi = np.arctan(1.0 / np.sqrt(cot2))
-        z0 = R * np.cos(chi)
-        z1 = R * np.sin(chi) * np.cosh(mus)
-        z2 = R * np.sin(chi) * np.sinh(mus)
-        fname = f"fig8_inner_e{e:g}.csv"
-        write_table(os.path.join(out_dir, fname), _BRANCH_COLUMNS,
-                    [np.zeros_like(mus), mus, z0, z1, z2, np.zeros_like(z0)])
-        datasets.append(
-            {"file": fname, "kind": "orbit_inner", "params": {"e": e, "l_sq": -1.0, "beta": 0.0}}
-        )
-    datasets.append(_one_sheeted_mesh(out_dir, "fig8_carrier.csv", params))
-    return {"figure": "fig8", "caption": _CAPTIONS["fig8"], "datasets": datasets}
-
-
-def _cylinder_mesh(out_dir: str, fname: str, params: ModelParams) -> dict:
-    sig = np.linspace(-2.5, 2.5, 41)
-    hs = np.linspace(-3.0, 3.0, 31)
-    R = params.radius
-    rows = []
-    for sheet in (1.0, -1.0):
-        for i, s in enumerate(sig):
-            for j, h in enumerate(hs):
-                rows.append((i, j, R * math.cosh(s), h, R * math.sinh(s), sheet * h))
-    write_table(os.path.join(out_dir, fname), _MESH_COLUMNS, list(zip(*rows)))
-    return {"file": fname, "kind": "carrier", "surface": "HyperbolicCylinder", "grid": [41, 31]}
+        chi = np.arctan(1.0 / np.sqrt(tr.inner(mus)))
+        z0, z1, z2, _ = _embed(False, 1.0, R, *_trig(False, chi, mus, 0.0))
+        datasets.append(_dataset(out_dir, f"fig8_inner_e{e:g}.csv", _BRANCH_COLUMNS,
+                                 [np.zeros_like(mus), mus, z0, z1, z2, np.zeros_like(z0)],
+                                 kind="orbit_inner", params=branch))
+    one_sheeted = (np.linspace(-2.5, 2.5, 41), np.linspace(0.0, 2.0 * math.pi, 73),
+                   lambda s, a: (R * math.cosh(s) * math.cos(a), R * math.cosh(s) * math.sin(a),
+                                 R * math.sinh(s), 0.0))
+    datasets.append(_dataset(out_dir, "fig8_carrier.csv", _MESH_COLUMNS,
+                             _mesh_columns(one_sheeted),
+                             kind="carrier", surface="OneSheeted", grid=[41, 73]))
+    return _figure("fig8", datasets)
 
 
 def _fig9(out_dir: str, params: ModelParams) -> dict:
@@ -695,18 +656,20 @@ def _fig9(out_dir: str, params: ModelParams) -> dict:
         st = PhaseState(ChartPoint(ChartId.OUTER_PLUS, r0, 0.0, 0.0), p1, 1.0, 1.0)
         traj = integrate(st, params, IntegrationConfig(t_span=(0.0, window)))
         ts = np.linspace(0.0, window, N_ORBIT_SAMPLES)
-        fname = f"fig9_orbit_e{e:g}.csv"
-        write_table(os.path.join(out_dir, fname), ("t", "z0", "z1", "z2", "z3"),
-                    [ts, *traj.ambient_points(ts)])
-        datasets.append(
-            {
-                "file": fname,
-                "kind": "orbit_numeric",
-                "params": {"e": e, "l_sq": 0.0, "pphi": 1.0, "window": window},
-            }
-        )
-    datasets.append(_cylinder_mesh(out_dir, "fig9_carrier.csv", params))
-    return {"figure": "fig9", "caption": _CAPTIONS["fig9"], "datasets": datasets}
+        datasets.append(_dataset(
+            out_dir, f"fig9_orbit_e{e:g}.csv", ("t", "z0", "z1", "z2", "z3"),
+            [ts, *traj.ambient_points(ts)], kind="orbit_numeric",
+            params={"e": e, "l_sq": 0.0, "pphi": 1.0, "window": window},
+        ))
+    # the two sheets z3 = +-z1 of the hyperbolic cylinder
+    sig, hs = np.linspace(-2.5, 2.5, 41), np.linspace(-3.0, 3.0, 31)
+    cylinder = _mesh_columns(
+        (sig, hs, lambda s, h: (R * math.cosh(s), h, R * math.sinh(s), h)),
+        (sig, hs, lambda s, h: (R * math.cosh(s), h, R * math.sinh(s), -h)),
+    )
+    datasets.append(_dataset(out_dir, "fig9_carrier.csv", _MESH_COLUMNS, cylinder,
+                             kind="carrier", surface="HyperbolicCylinder", grid=[41, 31]))
+    return _figure("fig9", datasets)
 
 
 def export_figures(fig_ids, out_dir: str, params: Optional[ModelParams] = None) -> dict:

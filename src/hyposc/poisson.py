@@ -477,9 +477,9 @@ def _coeff_name(coeff: float, target) -> str:
 
 
 def verify_so22(params: Optional[ModelParams] = None, n_points: int = 1000,
-                seed: int = 42, tol: float = DEFAULT_TOL,
-                backend: str = "dual") -> BracketReport:
-    """Check the 15 independent generator brackets at random states."""
+                seed: int = 42, tol: float = DEFAULT_TOL) -> BracketReport:
+    """Check the 15 independent generator brackets at random states, with
+    the dual backend."""
     params = params or ModelParams()
     coords = sample_coords(n_points, seed)
 
@@ -490,7 +490,7 @@ def verify_so22(params: Optional[ModelParams] = None, n_points: int = 1000,
         else:
             relations.append((a, b, lambda v, p, c=coeff, t=target: c * v[t]))
 
-    res, _ = _sweep(_generator_values, coords, params, relations, (backend,))
+    res, _ = _sweep(_generator_values, coords, params, relations, ("dual",))
     checks = tuple(
         BracketCheck(
             lhs=f"{{{a}, {b}}}",
@@ -601,15 +601,13 @@ _FLAG_NOTE = (
 
 
 def verify_df_algebra(params: Optional[ModelParams] = None, n_points: int = 64,
-                      seed: int = 42, tol: float = DEFAULT_TOL,
-                      backend_tol: float = BACKEND_TOL,
-                      fitted_tol: float = FITTED_TOL) -> BracketReport:
+                      seed: int = 42, tol: float = DEFAULT_TOL) -> BracketReport:
     """Sweep the tensor-generator and tensor-tensor bracket relations.
 
     Every relation is evaluated with both derivative backends; a relation
-    passes when the dual-backend residual is below ``tol`` (``fitted_tol``
+    passes when the dual-backend residual is below ``tol`` (FITTED_TOL
     for the fitted coefficient rows) and the backends agree to
-    ``backend_tol`` relative to max(1, |grad a| |grad b|) at every state
+    BACKEND_TOL relative to max(1, |grad a| |grad b|) at every state
     (``backend_gap`` reports that relative gap).  The three flagged rows record how far the rejected
     coefficient forms sit from the numeric bracket without gating the result.
     """
@@ -629,7 +627,7 @@ def verify_df_algebra(params: Optional[ModelParams] = None, n_points: int = 64,
         rows.append((a, b, name, (lambda v, p, f=fn: f(v, w2, iR2)), tol, True,
                      "candidate form rejected; numeric bracket is ground truth"))
     for a, b, name, fn in _FITTED_TABLE:
-        rows.append((a, b, name, (lambda v, p, f=fn: f(v, w2, iR2)), fitted_tol, False,
+        rows.append((a, b, name, (lambda v, p, f=fn: f(v, w2, iR2)), FITTED_TOL, False,
                      "fitted coefficients"))
 
     relations = [(a, b, fn) for a, b, _, fn, _, _, _ in rows]
@@ -637,7 +635,7 @@ def verify_df_algebra(params: Optional[ModelParams] = None, n_points: int = 64,
 
     checks = []
     for j, (a, b, name, _, row_tol, flagged, note) in enumerate(rows):
-        ok = bool(res[j] < row_tol) and bool(gap[j] < backend_tol)
+        ok = bool(res[j] < row_tol) and bool(gap[j] < BACKEND_TOL)
         checks.append(BracketCheck(
             lhs=f"{{{a.replace('Lt', 'L')}, {b.replace('Lt', 'L')}}}",
             rhs=name,

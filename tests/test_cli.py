@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from hyposc import cli
+from hyposc import cli, dynamics
 from hyposc.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -200,6 +200,19 @@ def test_simulate_overflowing_initial_state_is_a_numeric_error(tmp_path, capsys)
     state = dict(_STATE, q1=1e3, p1=0.1, pphi=0.0)
     code, err = _simulate_exit(tmp_path, capsys, _base_config(initial={"state": state}))
     assert code == EXIT_NUMERIC and "non-finite initial data" in err
+
+
+@pytest.mark.parametrize("p1", [1e154, 1e160])
+def test_simulate_huge_momentum_is_a_numeric_error(tmp_path, capsys, monkeypatch, p1):
+    # refused before any step: a unit span holds ~p1 dynamical times
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("solve_stretch called")
+
+    monkeypatch.setattr(dynamics, "solve_stretch", no_stepping)
+    state = dict(_STATE, p1=p1)
+    cfg = _base_config(initial={"state": state}, integration={"t_span": [0.0, 1.0]})
+    code, err = _simulate_exit(tmp_path, capsys, cfg)
+    assert code == EXIT_NUMERIC and err.startswith("integration failed: "), err
 
 
 @pytest.mark.parametrize("overrides, code", [
@@ -427,6 +440,18 @@ def test_simulate_figure_set_output(tmp_path):
 # ---------------------------------------------------------------------------
 # verify command
 # ---------------------------------------------------------------------------
+
+
+def test_simulate_figure_set_matches_figure_all(tmp_path, capsys):
+    cfg = _base_config(outputs=[{"kind": "FigureSet", "path": "figs"}])
+    assert main(["simulate", "--config", _write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "sim")]) == EXIT_OK
+    assert main(["figure", "all", "--out", str(tmp_path / "all")]) == EXIT_OK
+    names = sorted(os.listdir(tmp_path / "all"))
+    assert sorted(os.listdir(tmp_path / "sim" / "figs")) == names and len(names) == 35
+    for name in names:
+        assert (tmp_path / "sim" / "figs" / name).read_bytes() == \
+            (tmp_path / "all" / name).read_bytes(), name
 
 
 def test_verify_so22(tmp_path, capsys):

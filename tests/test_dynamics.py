@@ -474,6 +474,24 @@ def test_overflowing_initial_state_is_an_integration_error(chart, q1, q2, params
         integrate(st, params, IntegrationConfig())
 
 
+@pytest.mark.parametrize("p1, pphi, span, message", [
+    # ~1e154 dynamical times in a unit span, on the ambient path: stepping
+    # it would never end
+    (1e154, 0.3, 1.0, r"span of 1e\+154 dynamical times exceeds the limit of 1e\+06"),
+    (1e160, 0.3, 1.0, "non-finite initial data"),  # p1^2 overflows H
+    # a chart run over twice MAX_DYNAMICAL_TIMES (omega = 1 bounds the rate below)
+    (0.0, 2.0, 2e6, "dynamical times exceeds the limit"),
+], ids=["huge_p1", "overflowing_p1", "long_chart_run"])
+def test_overlong_span_fails_before_stepping(p1, pphi, span, message, params, monkeypatch):
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("solve_stretch called")
+
+    monkeypatch.setattr(dyn, "solve_stretch", no_stepping)
+    st = PhaseState(ChartPoint(ChartId.OUTER_PLUS, 1.0, 0.0, 0.0), p1, 0.0, pphi)
+    with pytest.raises(IntegrationError, match=message):
+        integrate(st, params, IntegrationConfig(t_span=(0.0, span)))
+
+
 def test_project_constraint_rejects_points_off_the_shell():
     y8 = np.array([2.0, 0.0, 1.0, 0.0, 0.1, 0.0, 0.0, 0.0])
     out = dyn._project_constraint(y8, 1.5)

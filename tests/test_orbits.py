@@ -11,6 +11,7 @@ from hyposc.dynamics import IntegrationConfig, Mode, hamiltonian, integrate
 from hyposc.geometry import ChartId, ChartPoint, ModelParams, PhaseState
 from hyposc.invariants import l_squared
 from hyposc.orbits import (
+    FIGURE_IDS,
     Carrier,
     ConicKind,
     RadialRegime,
@@ -494,6 +495,22 @@ def test_conic_figures_share_one_carrier(params, tmp_path):
     texts = {(tmp_path / ds["file"]).read_bytes() for ds in carriers}
     assert len(texts) == 1
     assert texts.pop().count(b"\n") == 1 + 36 * 73
+
+
+@pytest.mark.parametrize("omega, radius", [(1.0, 1.0), (2.0, 0.5)])
+def test_figure_datasets_lie_on_the_hyperboloid(omega, radius, tmp_path):
+    # every orbit and carrier row, the fig 9 cylinder's included, has z.z = R^2
+    manifest = export_figures(FIGURE_IDS, str(tmp_path), ModelParams(omega, radius))
+    files = [ds["file"] for fig in manifest["figures"] for ds in fig["datasets"]
+             if ds["kind"] != "effective_potential"]
+    assert len(files) == 4 * 4 + 2 * 5 + 1 + 3 + 1
+    for fname in files:
+        with open(tmp_path / fname) as fh:
+            rows = list(csv.DictReader(fh))
+        z = np.array([[float(row[k]) for row in rows] for k in ("z0", "z1", "z2", "z3")])
+        quad = z[0] ** 2 + z[1] ** 2 - z[2] ** 2 - z[3] ** 2
+        scale = np.sum(z * z, axis=0)
+        assert np.all(np.abs(quad - radius**2) <= 1e-12 * scale), fname
 
 
 def test_export_figures_rejects_unknown(params, tmp_path):
