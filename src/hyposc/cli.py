@@ -560,6 +560,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # numpy's OpenBLAS starts a worker pool on import that only burns start-up CPU
+    # here: the largest BLAS operand is the stepper's 16x8 stage matrix, far below
+    # the size at which OpenBLAS splits a call.  A thread count the user set wins.
+    if "numpy" not in sys.modules and not any(
+            v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                      "OMP_NUM_THREADS")):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         if args.command == "simulate":
             cfg = _read_config_file(args.config)

@@ -292,8 +292,9 @@ def angular_solution(l_sq: float, pphi: float, phi0: float = 0.0) -> AngularSolu
 class NegL2Trajectory:
     """Both chart branches of a negative-L^2 orbit curve (p_phi = 0).
 
-    outer(tau) -> coth^2 r and inner(mu) -> cot^2 chi; r_max is None for
-    unbounded energies, where tau_min marks the escape asymptote instead.
+    outer(tau) -> coth^2 r and inner(mu) -> cot^2 chi, with coefficients c1
+    and c2; r_max is None for unbounded energies, where tau_min marks the
+    escape asymptote instead.
     """
 
     outer: Callable
@@ -304,6 +305,8 @@ class NegL2Trajectory:
     e: float
     l_sq: float
     beta: float
+    c1: float
+    c2: float
 
 
 def trajectory_negative_l2(
@@ -338,7 +341,7 @@ def trajectory_negative_l2(
     else:
         tau_min = -0.5 * shift + 0.5 * math.acosh((0.5 + e * params.radius**2 / al) / c2)
     chi_max = math.atan(1.0 / math.sqrt(-c1 + c2))
-    return NegL2Trajectory(outer, inner, r_max, chi_max, tau_min, e, l_sq, beta)
+    return NegL2Trajectory(outer, inner, r_max, chi_max, tau_min, e, l_sq, beta, c1, c2)
 
 
 def zero_l2_orbit(
@@ -513,8 +516,8 @@ _CAPTIONS = {
     "fig8": "Negative-L^2 orbit branches on the outer and inner charts "
     "across bound, threshold and escaping energies, with the "
     "one-sheeted carrier mesh.",
-    "fig9": "L^2 = 0 orbits: closed-form curve against numeric "
-    "integration on the hyperbolic-cylinder carrier.",
+    "fig9": "Numerically integrated L^2 = 0 orbits with p_phi = 1 "
+    "on the hyperbolic-cylinder carrier.",
 }
 
 N_ORBIT_SAMPLES = 720
@@ -598,14 +601,13 @@ def _fig8(out_dir: str, params: ModelParams) -> dict:
     for e in _FIG8_ENERGIES:
         tr = trajectory_negative_l2(e, -1.0, 0.0, 0.0, params)
         # outer branch: sample tau where r stays within [floor, cap]
-        c1 = 0.5 - e * R * R
-        c2v = math.sqrt(c1 * c1 + params.omega**2 * R**4)
-        tau_hi = 0.5 * math.acosh((1.0 / math.tanh(_R_FLOOR) ** 2 - c1) / c2v)
+        c1, c2 = tr.c1, tr.c2
+        tau_hi = 0.5 * math.acosh((1.0 / math.tanh(_R_FLOOR) ** 2 - c1) / c2)
         if tr.tau_min is None:
             taus = np.linspace(-tau_hi, tau_hi, N_ORBIT_SAMPLES)
             arms = np.zeros_like(taus)
         else:
-            tau_lo = 0.5 * math.acosh(max((1.0 / math.tanh(_R_CAP) ** 2 - c1) / c2v, 1.0))
+            tau_lo = 0.5 * math.acosh(max((1.0 / math.tanh(_R_CAP) ** 2 - c1) / c2, 1.0))
             half_n = N_ORBIT_SAMPLES // 2
             arm = np.linspace(tau_lo, tau_hi, half_n)
             taus = np.concatenate([-arm[::-1], arm])
@@ -616,7 +618,7 @@ def _fig8(out_dir: str, params: ModelParams) -> dict:
         datasets.append(_dataset(out_dir, f"fig8_outer_e{e:g}.csv", _BRANCH_COLUMNS,
                                  [arms, taus, *z], kind="orbit_outer", params=branch))
         # inner branch; z3 = rho sin 0 is -0.0 where mu < 0, so it is written as zeros
-        mu_cap = 0.5 * math.acosh((1.0 / math.tan(_R_FLOOR) ** 2 + c1) / c2v)
+        mu_cap = 0.5 * math.acosh((1.0 / math.tan(_R_FLOOR) ** 2 + c1) / c2)
         mus = np.linspace(-mu_cap, mu_cap, N_ORBIT_SAMPLES)
         chi = np.arctan(1.0 / np.sqrt(tr.inner(mus)))
         z0, z1, z2, _ = _embed(False, 1.0, R, *_trig(False, chi, mus, 0.0))

@@ -527,13 +527,19 @@ def test_cli_runs_without_scipy_integrate(tmp_path):
     assert (tmp_path / "figures" / "fig9_orbit_e0.8.csv").exists()
 
 
-def _run_cli_in_fresh_process(argvs, tmp_path):
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _run_cli_in_fresh_process(argvs, tmp_path, **env):
     """Run ``python -m hyposc.cli`` on each argv in one fresh process.
 
-    Returns each run's stdout and the modules loaded at the end.
+    ``env`` sets (a string) or removes (None) variables of the process's
+    environment.  Returns each run's stdout, the modules loaded at the end,
+    OPENBLAS_NUM_THREADS at the end and the process's thread count (None where
+    /proc/self/task does not exist).
     """
     code = (
-        "import contextlib, io, json, runpy, sys\n"
+        "import contextlib, io, json, os, runpy, sys\n"
         "outs = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    sys.argv = ['hyposc'] + argv\n"
@@ -544,12 +550,20 @@ def _run_cli_in_fresh_process(argvs, tmp_path):
         "        except SystemExit as exc:\n"
         "            assert exc.code == 0, (argv, exc.code)\n"
         "    outs.append(buf.getvalue())\n"
-        "print(json.dumps([outs, sorted(sys.modules)]))\n"
+        "task = '/proc/self/task'\n"
+        "threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+        "print(json.dumps([outs, sorted(sys.modules), os.environ.get('OPENBLAS_NUM_THREADS'),"
+        " threads]))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    child_env = dict(os.environ, PYTHONPATH=src)
+    for name, value in env.items():
+        if value is None:
+            child_env.pop(name, None)
+        else:
+            child_env[name] = value
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], cwd=tmp_path,
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                          text=True, timeout=120)
+                          env=child_env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -571,7 +585,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path, command, absent):
         "figure": ["figure", "all", "--out", "figures"],
         "fig8": ["figure", "fig8", "--out", "fig8"],
     }[command]
-    _, modules = _run_cli_in_fresh_process([argv], tmp_path)
+    _, modules, _, _ = _run_cli_in_fresh_process([argv], tmp_path)
     assert not set(absent) & set(modules), sorted(set(absent) & set(modules))
 
 
@@ -610,9 +624,33 @@ def test_classify_in_a_fresh_process_matches_orbits_classify(tmp_path):
             data = {"e": e, "l_sq": l_sq, "omega": omega, "radius": radius}
             data.update(cli._classification_dict(oc))
             expected.append(json.dumps(data, indent=2) + "\n")
-    outs, modules = _run_cli_in_fresh_process(argvs, tmp_path)
+    outs, modules, _, _ = _run_cli_in_fresh_process(argvs, tmp_path)
     assert "numpy" not in modules
     assert outs == expected
+
+
+def test_cli_runs_blas_on_one_thread(tmp_path):
+    _, modules, blas_threads, threads = _run_cli_in_fresh_process(
+        [["verify", "so22", "--points", "4"]], tmp_path, **dict.fromkeys(_BLAS_THREAD_VARS))
+    assert "numpy" in modules
+    assert blas_threads == "1"
+    if threads is not None:
+        assert threads == 1
+
+
+def test_cli_keeps_a_blas_thread_count_the_user_set(tmp_path):
+    _, _, blas_threads, _ = _run_cli_in_fresh_process(
+        [["verify", "so22", "--points", "4"]], tmp_path, OPENBLAS_NUM_THREADS="2")
+    assert blas_threads == "2"
+
+
+def test_cli_main_in_process_leaves_the_environment_alone(monkeypatch, capsys):
+    import numpy  # noqa: F401  (loaded by hyposc.dynamics already)
+
+    for name in _BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    assert main(["classify", "0.4", "0.25"]) == EXIT_OK
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_package_exports_resolve_once():
