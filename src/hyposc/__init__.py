@@ -3,9 +3,9 @@
 The closed-form regime analysis (`regimes`, standard library only), charts
 and momentum lifts (`geometry`), conserved quantities and their identities
 (`invariants`), a chart or ambient symplectic-constraint integrator
-(`dynamics`), canonical Poisson brackets with algebra sweeps (`poisson`),
-closed-form orbits and figure data (`orbits`), and a command-line front end
-(`cli`).
+(`dynamics`), canonical Poisson brackets of named observables with algebra
+sweeps (`poisson`), closed-form orbits and figure data (`orbits`), and a
+command-line front end (`cli`).
 
 The names below are exported lazily (PEP 562): `import hyposc` loads no
 submodule, and each name imports its module on first access, so that
@@ -38,8 +38,8 @@ _EXPORTS = {
         "export_figures", "radial_solution", "time_of_flight", "trajectory_negative_l2",
     ),
     "poisson": (
-        "BracketCheck", "BracketReport", "Observable", "bracket", "jacobi_residual",
-        "sample_states", "verify_df_algebra", "verify_so22",
+        "BracketCheck", "BracketReport", "bracket", "sample_states", "verify_df_algebra",
+        "verify_so22",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -129,9 +129,12 @@ def _parse_state(obj, params: ModelParams) -> PhaseState:
     if not all(map(math.isfinite, values)):
         raise ConfigError("initial.state must be finite")
     try:
-        return PhaseState(ChartPoint(chart, *values[:3]), *values[3:])
+        state = PhaseState(ChartPoint(chart, *values[:3]), *values[3:])
+        if not chart.is_outer and values[1] == 0.0 and values[5] != 0.0:  # p_phi / sinh(mu)
+            raise ValueError("azimuthal momentum on the mu = 0 axis")
     except ValueError as exc:
         raise ConfigError(f"bad initial state: {exc}") from exc
+    return state
 
 
 def _parse_analytic(obj, params: ModelParams):

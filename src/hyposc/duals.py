@@ -82,10 +82,6 @@ class Dual:
             out = out * self
         return out
 
-    def __mod__(self, m):
-        # shift by a multiple of the (constant) modulus: derivative unchanged
-        return Dual(self.re % m, self.im)
-
 
 # ---- generic math ---------------------------------------------------------
 

@@ -561,6 +561,7 @@ MAX_FACTOR = 10
 _ERROR_EXPONENT = -1 / 8  # -1/(q + 1) for the 7th-order error estimator
 _EPS = np.finfo(float).eps
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+NONFINITE_STEP = "Step size is not finite: the right-hand side gave a non-finite value."
 
 
 def _rms(x):
@@ -816,8 +817,8 @@ def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, max_step=math.inf,
         K = np.empty((16, y.size))
         step_rejected = False
         while True:
-            if h_abs < min_step:
-                status, message = -1, TOO_SMALL_STEP
+            if not h_abs >= min_step:  # a NaN step fails every comparison
+                status, message = -1, TOO_SMALL_STEP if h_abs < min_step else NONFINITE_STEP
                 break
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
@@ -990,6 +991,19 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
+def _solve(kind: str, *args, **kwargs) -> Stretch:
+    """solve_stretch, its failures raised as IntegrationError.  A float power or
+    division in the RHS raises where numpy gives inf; caught here, it costs no step."""
+    try:
+        sol = solve_stretch(*args, **kwargs)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise IntegrationError(f"{kind} integration failed: {type(exc).__name__} "
+                               "while stepping") from None
+    if sol.status < 0:
+        raise IntegrationError(f"{kind} integration failed: {sol.message}")
+    return sol
+
+
 def integrate(
     initial: PhaseState,
     params: ModelParams,
@@ -1039,9 +1053,7 @@ def integrate(
         def ev_turn(tt, yy):
             return yy[3]
 
-        sol = solve_stretch(rhs, (t0, t1), start, [ev_turn] if track_turns else [], **opts)
-        if sol.status < 0:
-            raise IntegrationError(f"chart integration failed: {sol.message}")
+        sol = _solve("chart", rhs, (t0, t1), start, [ev_turn] if track_turns else [], **opts)
         for t_ev in sol.t_events[0] if track_turns else ():
             if t_ev <= t0 + 1e-12:
                 continue
@@ -1062,13 +1074,11 @@ def integrate(
 
         # the drift is checked at each step: an escaping orbit fails as soon
         # as it leaves the shell, not after the whole span
-        sol = solve_stretch(
-            rhs, (t0, t1), y80, [ev_cross, ev_turn_amb] if track_turns else [ev_cross],
+        sol = _solve(
+            "ambient", rhs, (t0, t1), y80, [ev_cross, ev_turn_amb] if track_turns else [ev_cross],
             project=lambda y8: _project_constraint(y8, R), dt_proj=dt_proj,
             check=lambda t, y8: _check_drift(t, y8, R), **opts
         )
-        if sol.status < 0:
-            raise IntegrationError(f"ambient integration failed: {sol.message}")
         for t_ev in sol.t_events[0]:
             yev = sol.sol(float(t_ev))
             side = "outer->inner" if yev[0] * yev[4] > 0.0 else "inner->outer"

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import _real, any_row, cos, cosh, guarded, nonzeroish, sin, sinh
+from .duals import any_row, cos, cosh, guarded, nonzeroish, sin, sinh
 from .regimes import ChartId, ModelParams
 
 TWO_PI = 2.0 * math.pi
@@ -67,10 +67,10 @@ class ChartPoint:
 
     def __post_init__(self):
         if self.chart.is_outer:
-            if _real(self.q1) < 0.0:
+            if self.q1 < 0.0:
                 raise ValueError("outer chart requires r >= 0")
         else:
-            if not (-math.pi / 2 < _real(self.q1) < math.pi / 2):
+            if not (-math.pi / 2 < self.q1 < math.pi / 2):
                 raise ValueError("inner chart requires |chi| < pi/2")
         object.__setattr__(self, "phi", self.phi % TWO_PI)
 
@@ -98,9 +98,7 @@ class PhaseState:
 
     def __post_init__(self):
         # angular momenta at the chart pole are not limits of physical states
-        if _real(self.point.q1) == 0.0 and (
-            _real(self.p2) != 0.0 or _real(self.pphi) != 0.0
-        ):
+        if self.point.q1 == 0.0 and (self.p2 != 0.0 or self.pphi != 0.0):
             raise ValueError("angular momenta at the coordinate pole q1 = 0")
 
 

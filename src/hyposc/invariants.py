@@ -26,13 +26,14 @@ may be floats, (N,) arrays with one entry per state, or duals.
 `generators` and `l_squared` the closed chart forms it is checked against.
 """
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
 import numpy as np
 
-from .duals import _real, cos, cosh, guarded, nonzeroish, sin, sinh
+from .duals import guarded
 from .geometry import (
     EmbeddingPhase,
     ModelParams,
@@ -105,15 +106,15 @@ def generators(state: PhaseState, params: ModelParams) -> GeneratorSet:
         return GeneratorSet(*ambient_generators(*_zp(momentum_lift(state, params))))
     s = pt.chart.sheet_sign
     p1, p2, pphi = state.p1, state.p2, state.pphi
-    sht, cht = sinh(pt.q2), cosh(pt.q2)
-    cp, sp = cos(pt.phi), sin(pt.phi)
+    sht, cht = math.sinh(pt.q2), math.cosh(pt.q2)
+    cp, sp = math.cos(pt.phi), math.sin(pt.phi)
     tht = sht / cht
     n1 = -sht * p1
     n2 = -cht * cp * p1
     n3 = -cht * sp * p1
-    if nonzeroish(p2) or nonzeroish(pphi):
-        sh, ch = sinh(pt.q1), cosh(pt.q1)
-        if _real(sh) == 0.0:
+    if p2 != 0.0 or pphi != 0.0:
+        sh, ch = math.sinh(pt.q1), math.cosh(pt.q1)
+        if sh == 0.0:
             raise ValueError("angular momenta at r = 0")
         cothr = ch / sh
         n1 = n1 + cht * cothr * p2
@@ -138,11 +139,11 @@ def l_squared(state: PhaseState) -> float:
     p2, pphi = state.p2, state.pphi
     q2 = state.point.q2
     if state.point.chart.is_outer:
-        c = cosh(q2)
+        c = math.cosh(q2)
         return pphi * pphi / (c * c) - p2 * p2
-    if nonzeroish(pphi):
-        s = sinh(q2)
-        if _real(s) == 0.0:
+    if pphi != 0.0:
+        s = math.sinh(q2)
+        if s == 0.0:
             raise ValueError("p_phi without sinh(mu): azimuth degenerate at mu = 0")
         return -(p2 * p2 + pphi * pphi / (s * s))
     return -(p2 * p2)

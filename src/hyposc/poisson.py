@@ -13,6 +13,9 @@ tangents of phi, p1, p2 and pphi together; it gives the same bits as one
 pass per coordinate because no denominator depends on phi or the momenta
 (see `_gradient_table`).  Derivatives are exact to roundoff either way.
 
+`bracket` takes two observable names (generators, Lt1-Lt3, D11-D33, H_free,
+H_osc, L_sq or a coordinate) and one state, the N = 1 case of the kernel.
+
 Convention note: the sweep of the tensor algebra states its relations in the
 angular-momentum sign convention fixed by L1 = +p_phi on the outer chart
 (observables Lt1, Lt2, Lt3 = -l1, l2, -l3 relative to the ambient bilinears).
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -59,37 +62,8 @@ FITTED_TOL = 1e-9
 # observables
 
 
-@dataclass(frozen=True)
-class Observable:
-    """A named real-valued function of (PhaseState, ModelParams).
-
-    ``supports_duals`` declares that the evaluator tolerates dual-valued
-    coordinates (everything built from the generic chart math does); plain
-    float-only callables are differentiated by finite differences instead.
-    """
-
-    name: str
-    evaluator: Callable[[PhaseState, ModelParams], float]
-    supports_duals: bool = True
-
-    def __call__(self, state: PhaseState, params: ModelParams):
-        return self.evaluator(state, params)
-
-
-def _scalars(state: PhaseState):
-    pt = state.point
-    return (pt.q1, pt.q2, pt.phi, state.p1, state.p2, state.pphi)
-
-
-def _state_from(chart: ChartId, coords) -> PhaseState:
-    return PhaseState(
-        ChartPoint(chart, coords[0], coords[1], coords[2]),
-        coords[3], coords[4], coords[5],
-    )
-
-
 def _library_values(chart: ChartId, coords, params: ModelParams) -> dict:
-    """Every library observable from a single ambient lift.
+    """Every named observable, the coordinates included, from one ambient lift.
 
     ``coords`` = (q1, q2, phi, p1, p2, pphi), floats or (N,) arrays with one
     entry per state, any of them possibly dual.
@@ -104,6 +78,7 @@ def _library_values(chart: ChartId, coords, params: ModelParams) -> dict:
         "L_sq": g.l_squared(),
     }
     out.update(zip(("D11", "D12", "D13", "D22", "D23", "D33"), d))
+    out.update(zip(COORD_NAMES, coords))
     return out
 
 
@@ -121,40 +96,6 @@ def _tensor_values(chart: ChartId, coords, params: ModelParams) -> dict:
     out.update(zip(("D11", "D12", "D13", "D22", "D23", "D33"),
                    df_components(y[:4], (n1, n2, n3), params)))
     return out
-
-
-def _library_observable(name: str) -> Observable:
-    def evaluator(state, params, _name=name):
-        return _library_values(state.point.chart, _scalars(state), params)[_name]
-
-    return Observable(name, evaluator)
-
-
-def _coordinate_observable(idx: int, name: str) -> Observable:
-    def evaluator(state, params, _i=idx):
-        return _scalars(state)[_i]
-
-    return Observable(name, evaluator)
-
-
-_LIBRARY_KEYS = (
-    "L1", "L2", "L3", "N1", "N2", "N3",
-    "Lt1", "Lt2", "Lt3",
-    "D11", "D12", "D13", "D22", "D23", "D33",
-    "H_free", "H_osc", "L_sq",
-)
-
-LIBRARY = {k: _library_observable(k) for k in _LIBRARY_KEYS}
-LIBRARY.update({n: _coordinate_observable(i, n) for i, n in enumerate(COORD_NAMES)})
-
-L1, L2, L3 = LIBRARY["L1"], LIBRARY["L2"], LIBRARY["L3"]
-N1, N2, N3 = LIBRARY["N1"], LIBRARY["N2"], LIBRARY["N3"]
-LT1, LT2, LT3 = LIBRARY["Lt1"], LIBRARY["Lt2"], LIBRARY["Lt3"]
-D11, D12, D13 = LIBRARY["D11"], LIBRARY["D12"], LIBRARY["D13"]
-D22, D23, D33 = LIBRARY["D22"], LIBRARY["D23"], LIBRARY["D33"]
-H_OSC, H_FREE, L_SQ = LIBRARY["H_osc"], LIBRARY["H_free"], LIBRARY["L_sq"]
-Q1, Q2, PHI = LIBRARY["q1"], LIBRARY["q2"], LIBRARY["phi"]
-P1, P2, PPHI = LIBRARY["p1"], LIBRARY["p2"], LIBRARY["pphi"]
 
 
 # --------------------------------------------------------------------------
@@ -188,7 +129,7 @@ def _gradient_table(values, coords, backend: str) -> dict:
     single state is the N = 1 case of the sweeps, carried as floats.
     """
     if backend not in ("dual", "fd"):
-        raise ValueError(f"unknown backend {backend!r} (use 'auto', 'dual' or 'fd')")
+        raise ValueError(f"unknown backend {backend!r} (use 'dual' or 'fd')")
     shape = np.shape(coords[0])
     if backend == "dual":
         # the wide pass's tangents are read-only views, immutable like 1.0
@@ -251,52 +192,23 @@ class _Rows:
         return self.comps[c][self.index]
 
 
-def bracket(f: Observable, g: Observable, state: PhaseState, params: ModelParams,
-            backend: str = "auto") -> float:
-    """Canonical bracket {f, g} at one state."""
-    chart = state.point.chart
-    coords = [float(c) for c in _scalars(state)]
-    grads = []
-    for obs in (f, g):
-        chosen = backend
-        if backend == "auto":
-            chosen = "dual" if obs.supports_duals else "fd"
-        elif backend == "dual" and not obs.supports_duals:
-            raise ValueError(f"observable {obs.name!r} does not support the dual backend")
+def bracket(f: str, g: str, state: PhaseState, params: ModelParams,
+            backend: str = "dual") -> float:
+    """Canonical bracket {f, g} of two `_library_values` names at one state.
 
-        def values(c, _obs=obs):
-            if not isinstance(c[0], np.ndarray):
-                return {_obs.name: _obs.evaluator(_state_from(chart, c), params)}
-            # stacked finite-difference states: one float evaluation each,
-            # since the observable may accept floats only
-            rows = np.stack(c, axis=-1).reshape(-1, 6).tolist()
-            out = [_obs.evaluator(_state_from(chart, row), params) for row in rows]
-            return {_obs.name: np.reshape(out, c[0].shape)}
-
-        grads.append(_gradient_table(values, coords, chosen)[obs.name])
-    val = float(_symplectic_pair(*grads))
+    The N = 1 case of the sweeps: one gradient table over `_library_values`,
+    its rows f and g paired by `_symplectic_pair`.
+    """
+    pt = state.point
+    coords = [float(c) for c in (pt.q1, pt.q2, pt.phi, state.p1, state.p2, state.pphi)]
+    table = _gradient_table(lambda c: _library_values(pt.chart, c, params), coords, backend)
+    for name in (f, g):
+        if name not in table:
+            raise ValueError(f"unknown observable {name!r} (known: {', '.join(table)})")
+    val = float(_symplectic_pair(table[f], table[g]))
     if not math.isfinite(val):
-        raise ValueError(
-            f"non-finite derivative in {{{f.name}, {g.name}}} (singular observable at state)"
-        )
+        raise ValueError(f"non-finite derivative in {{{f}, {g}}} (singular observable at state)")
     return val
-
-
-def jacobi_residual(f: Observable, g: Observable, h: Observable,
-                    state: PhaseState, params: ModelParams) -> float:
-    """|{f,{g,h}} + {g,{h,f}} + {h,{f,g}}| with finite-difference outer brackets."""
-
-    def composite(a, b):
-        def evaluator(st, par, _a=a, _b=b):
-            return bracket(_a, _b, st, par, backend="dual")
-
-        return Observable(f"{{{a.name},{b.name}}}", evaluator, supports_duals=False)
-
-    return abs(
-        bracket(f, composite(g, h), state, params, backend="fd")
-        + bracket(g, composite(h, f), state, params, backend="fd")
-        + bracket(h, composite(f, g), state, params, backend="fd")
-    )
 
 
 # --------------------------------------------------------------------------

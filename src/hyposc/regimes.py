@@ -191,8 +191,12 @@ def inner_turning_angle(e: float, l_sq: float, params: ModelParams) -> float:
 
 
 def _regime_only(e: float, l_sq: float, params: ModelParams) -> RadialRegime:
-    w2r2 = params.omega**2 * params.radius**2
-    w2r4 = params.omega**2 * params.radius**4
+    try:
+        w2r2 = params.omega**2 * params.radius**2
+        w2r4 = params.omega**2 * params.radius**4
+    except OverflowError:  # a float power raises where a product gives inf
+        raise ValueError(f"no turning structure: omega^2 R^4 overflows at omega = "
+                         f"{params.omega:g}, R = {params.radius:g}") from None
     half = 0.5 * w2r2
     be = CLASS_BAND * max(1.0, abs(e), half)
     bl = CLASS_BAND * max(1.0, abs(l_sq), w2r4)

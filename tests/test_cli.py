@@ -236,6 +236,75 @@ def test_classify_zero_omega_is_a_config_error(capsys):
         "classify: no turning structure: omega^2 R^4 = 0 at omega = 0, R = 1\n")
 
 
+@pytest.mark.parametrize("flag, value", [("--omega", "1e300"), ("--radius", "1e160")])
+def test_classify_overflowing_parameters_are_a_config_error(capsys, flag, value):
+    # a float power raises OverflowError where a product gives inf
+    assert main(["classify", "0.3", "0.1", flag, value]) == EXIT_CONFIG
+    omega, radius = ("1e+300", "1") if flag == "--omega" else ("1", "1e+160")
+    assert capsys.readouterr().err == (
+        f"classify: no turning structure: omega^2 R^4 overflows at omega = {omega}, "
+        f"R = {radius}\n")
+
+
+def test_simulate_analytic_overflowing_omega_is_a_config_error(tmp_path, capsys):
+    cfg = _base_config(params={"omega": 1e300, "radius": 1.0},
+                       initial={"analytic": {"e": 0.3, "l_sq": 0.1}})
+    code, err = _simulate_exit(tmp_path, capsys, cfg)
+    assert code == EXIT_CONFIG and err.count("\n") == 1, err
+    assert err.startswith("config error: no turning structure: omega^2 R^4 overflows"), err
+    assert not (tmp_path / "x").exists()
+
+
+def test_simulate_chart_rhs_overflow_is_a_numeric_error(tmp_path, capsys):
+    # ch**3 in the chart equations raises OverflowError once cosh r ~ 1e103
+    state = dict(_STATE, q1=700.0, p1=0.1, p2=0.1)
+    cfg = _base_config(initial={"state": state}, integration={"t_span": [0.0, 2.0]})
+    code, err = _simulate_exit(tmp_path, capsys, cfg)
+    assert code == EXIT_NUMERIC and err.count("\n") == 1, err
+    assert err == "integration failed: chart integration failed: OverflowError while stepping\n"
+
+
+def test_simulate_nan_first_step_is_a_numeric_error(tmp_path, capsys, monkeypatch):
+    # q2 = 700 lifts to |z| ~ 6e303: finite, but the first derivative is NaN;
+    # the run must stop at its first step size, so a few RHS calls suffice
+    calls = []
+    ambient_rhs = dynamics._ambient_rhs
+
+    def counted(params, mode):
+        rhs = ambient_rhs(params, mode)
+
+        def wrapped(t, y):
+            calls.append(t)
+            if len(calls) > 1000:
+                raise RuntimeError("the stepper kept going on a NaN step size")
+            return rhs(t, y)
+
+        return wrapped
+
+    monkeypatch.setattr(dynamics, "_ambient_rhs", counted)
+    state = dict(_STATE, q2=700.0, p1=0.1)
+    cfg = _base_config(initial={"state": state}, integration={"t_span": [0.0, 2.0]})
+    code, err = _simulate_exit(tmp_path, capsys, cfg)
+    assert code == EXIT_NUMERIC and err.count("\n") == 1, err
+    assert err == f"integration failed: ambient integration failed: {dynamics.NONFINITE_STEP}\n"
+    assert len(calls) <= 2
+
+
+def test_inner_state_on_the_axis_is_a_config_error_in_a_fresh_process(tmp_path):
+    # p_phi != 0 at mu = 0: the lift divides by sinh(mu)
+    state = {"chart": "inner_minus", "q1": 0.5, "q2": 0.0, "phi": 0.0,
+             "p1": 0.0, "p2": 0.1, "pphi": 0.3}
+    cfg_path = _write_config(tmp_path, _base_config(initial={"state": state}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyposc.cli", "simulate", "--config", cfg_path,
+         "--out", str(tmp_path / "x")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr == "config error: bad initial state: azimuthal momentum on the mu = 0 axis\n"
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "figure", "verify"])
 def test_unwritable_output_is_a_config_error_naming_the_path(tmp_path, capsys, command):
     blocked = tmp_path / "blocked"

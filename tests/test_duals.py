@@ -46,9 +46,9 @@ def _check(op, *args):
 
 @pytest.mark.parametrize("tangent", [ONE_HOT[0], DENSE], ids=["one_hot", "dense"])
 @pytest.mark.parametrize("fn", [
-    operator.neg, lambda x: x % 1.5, lambda x: x**0, lambda x: x**1, lambda x: x**2,
+    operator.neg, lambda x: x**0, lambda x: x**1, lambda x: x**2,
     duals.sinh, duals.cosh, duals.sin, duals.cos,
-], ids=["neg", "mod", "pow0", "pow1", "pow2", "sinh", "cosh", "sin", "cos"])
+], ids=["neg", "pow0", "pow1", "pow2", "sinh", "cosh", "sin", "cos"])
 def test_unary_operations(fn, tangent):
     _check(fn, Dual(X, tangent))
 
@@ -102,8 +102,7 @@ def test_float_values_with_array_tangents():
     y = Dual(-1.4, np.eye(4)[2])
     for fn in (operator.add, operator.sub, operator.mul):
         _check(fn, x, y)
-    for fn in (duals.sinh, duals.cosh, duals.sin, duals.cos, operator.neg,
-               lambda v: v % 0.5):
+    for fn in (duals.sinh, duals.cosh, duals.sin, duals.cos, operator.neg):
         _check(fn, x)
     _check(lambda v: 1.0 / v, Dual(0.8, DENSE[:, 0]))
 

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import numpy.testing as npt
@@ -9,24 +8,8 @@ from hyposc.duals import Dual
 from hyposc.dynamics import Mode, _chart_rhs
 from hyposc.geometry import ChartId, ChartPoint, ModelParams, PhaseState
 from hyposc.poisson import (
-    D11,
-    D12,
-    D33,
-    H_OSC,
-    L1,
-    L2,
-    L3,
-    L_SQ,
-    LT3,
-    N1,
-    N2,
-    P1,
-    PHI,
-    PPHI,
-    Q1,
-    Observable,
+    _library_values,
     bracket,
-    jacobi_residual,
     sample_states,
     verify_df_algebra,
     verify_so22,
@@ -38,15 +21,21 @@ def state():
     return PhaseState(ChartPoint(ChartId.OUTER_PLUS, 1.1, -0.4, 0.7), 0.5, 0.8, -0.6)
 
 
+def _values(st, params):
+    """Every named observable at one state."""
+    pt = st.point
+    return _library_values(pt.chart, (pt.q1, pt.q2, pt.phi, st.p1, st.p2, st.pphi), params)
+
+
 def test_canonical_pairs(state, params):
-    npt.assert_allclose(bracket(Q1, P1, state, params), 1.0, rtol=1e-12)
-    npt.assert_allclose(bracket(PHI, PPHI, state, params), 1.0, rtol=1e-12)
-    npt.assert_allclose(bracket(Q1, PPHI, state, params), 0.0, atol=1e-12)
-    npt.assert_allclose(bracket(Q1, PHI, state, params), 0.0, atol=1e-12)
+    npt.assert_allclose(bracket("q1", "p1", state, params), 1.0, rtol=1e-12)
+    npt.assert_allclose(bracket("phi", "pphi", state, params), 1.0, rtol=1e-12)
+    npt.assert_allclose(bracket("q1", "pphi", state, params), 0.0, atol=1e-12)
+    npt.assert_allclose(bracket("q1", "phi", state, params), 0.0, atol=1e-12)
 
 
 def test_bracket_antisymmetry(state, params):
-    for f, g in [(L1, N2), (D11, L2), (H_OSC, D33)]:
+    for f, g in [("L1", "N2"), ("D11", "L2"), ("H_osc", "D33")]:
         a = bracket(f, g, state, params)
         b = bracket(g, f, state, params)
         npt.assert_allclose(a, -b, rtol=1e-9, atol=1e-12)
@@ -54,14 +43,14 @@ def test_bracket_antisymmetry(state, params):
 
 def test_rotation_subalgebra(params):
     for st in sample_states(50, seed=2):
-        res = bracket(L1, L2, st, params) + L3(st, params)
+        res = bracket("L1", "L2", st, params) + _values(st, params)["L3"]
         assert abs(res) < 1e-6
 
 
 def test_hamiltonian_commutes_with_invariants(state, params):
-    assert abs(bracket(H_OSC, L1, state, params)) < 1e-9
-    assert abs(bracket(H_OSC, L_SQ, state, params)) < 1e-9
-    assert abs(bracket(H_OSC, D33, state, params)) < 1e-9
+    assert abs(bracket("H_osc", "L1", state, params)) < 1e-9
+    assert abs(bracket("H_osc", "L_sq", state, params)) < 1e-9
+    assert abs(bracket("H_osc", "D33", state, params)) < 1e-9
 
 
 def test_bracket_reproduces_flow(state, params):
@@ -69,32 +58,47 @@ def test_bracket_reproduces_flow(state, params):
                   state.p1, state.p2, state.pphi])
     rhs = _chart_rhs(state.point.chart.is_outer, params, Mode.OSCILLATOR)
     dq1, _, dphi, dp1, _, _ = rhs(0.0, y)
-    npt.assert_allclose(bracket(Q1, H_OSC, state, params), dq1, rtol=1e-9)
-    npt.assert_allclose(bracket(PHI, H_OSC, state, params), dphi, rtol=1e-9)
-    npt.assert_allclose(bracket(P1, H_OSC, state, params), dp1, rtol=1e-9, atol=1e-12)
+    npt.assert_allclose(bracket("q1", "H_osc", state, params), dq1, rtol=1e-9)
+    npt.assert_allclose(bracket("phi", "H_osc", state, params), dphi, rtol=1e-9)
+    npt.assert_allclose(bracket("p1", "H_osc", state, params), dp1, rtol=1e-9, atol=1e-12)
 
 
 def test_backends_agree(state, params):
-    for f, g in [(L1, L2), (D11, D12), (H_OSC, D33)]:
+    for f, g in [("L1", "L2"), ("D11", "D12"), ("H_osc", "D33")]:
         d = bracket(f, g, state, params, backend="dual")
         n = bracket(f, g, state, params, backend="fd")
         assert abs(d - n) < 1e-7 * max(1.0, abs(d))
 
 
-def test_fd_only_observable(params):
-    # an observable marked as numpy-only must fall back to finite differences
-    raw = Observable(
-        "z0", lambda st, par: float(np.cosh(st.point.q1)) * par.radius, supports_duals=False
-    )
-    st = PhaseState(ChartPoint(ChartId.OUTER_PLUS, 0.9, 0.1, 0.2), 0.3, 0.0, 0.0)
-    val = bracket(raw, P1, st, params, backend="auto")
-    npt.assert_allclose(val, math.sinh(0.9), rtol=1e-8)
+def test_bracket_rejects_unknown_name(state, params):
+    with pytest.raises(ValueError, match=r"unknown observable 'L4' \(known: L1, .*pphi\)"):
+        bracket("L1", "L4", state, params)
 
 
-def test_jacobi_identity(params):
-    st = PhaseState(ChartPoint(ChartId.OUTER_PLUS, 1.3, 0.6, 1.9), -0.7, 0.4, 0.9)
-    for trip in [(L1, L2, L3), (L1, N1, N2), (D11, L2, L3)]:
-        assert abs(jacobi_residual(*trip, st, params)) < 1e-5
+def test_single_state_fd_rows_match_batched_table(monkeypatch):
+    # bracket is the N = 1 case of the sweeps' kernel: its finite-difference
+    # gradient rows are the matching column of the batched table, bit for bit
+    import hyposc.poisson as poisson
+
+    params = ModelParams(2.0, 0.5)
+    coords = poisson.sample_coords(24, 4)
+    batched = poisson._gradient_table(
+        lambda c: _library_values(poisson.SAMPLE_CHART, c, params), list(coords), "fd")
+    names = list(batched)
+    assert len(names) == 24 and set(poisson.COORD_NAMES) <= set(names)
+    rows = []
+    pair = poisson._symplectic_pair
+    monkeypatch.setattr(poisson, "_symplectic_pair",
+                        lambda gf, gg: rows.append((gf, gg)) or pair(gf, gg))
+    pairs = list(zip(names, names[1:] + names[:1]))
+    for j, st in enumerate(sample_states(24, seed=4)):
+        for a, b in pairs:
+            rows.clear()
+            val = bracket(a, b, st, params, backend="fd")
+            ((gf, gg),) = rows
+            assert _same_bits(gf, batched[a][:, j]), (j, a)
+            assert _same_bits(gg, batched[b][:, j]), (j, b)
+            assert _same_bits(val, pair(batched[a][:, j], batched[b][:, j])), (j, a, b)
 
 
 def test_sample_states_deterministic():
@@ -146,19 +150,19 @@ def test_bracket_rejects_singular_state(params):
     # pole state: centrifugal gradients blow up for angular observables
     st = PhaseState(ChartPoint(ChartId.OUTER_PLUS, 0.0, 0.0, 0.0), 0.5, 0.0, 0.0)
     with pytest.raises(ValueError):
-        bracket(L_SQ, H_OSC, st, params)
+        bracket("L_sq", "H_osc", st, params)
 
 
 def test_batched_sweeps_match_single_state_loop(params):
     # the sweeps' batched residuals against bracket() state by state
-    from hyposc.poisson import _DL_TABLE, _SO22_TABLE, LIBRARY
+    from hyposc.poisson import _DL_TABLE, _SO22_TABLE
 
     states = sample_states(24, seed=11)
     rep = verify_so22(params, n_points=24, seed=11)
     for (a, b, coeff, target), row in zip(_SO22_TABLE, rep.pairs):
         loop = max(
-            abs(bracket(LIBRARY[a], LIBRARY[b], st, params)
-                - (coeff * LIBRARY[target](st, params) if target else 0.0))
+            abs(bracket(a, b, st, params)
+                - (coeff * _values(st, params)[target] if target else 0.0))
             for st in states
         )
         assert abs(row.max_residual - loop) <= 1e-12
@@ -166,8 +170,7 @@ def test_batched_sweeps_match_single_state_loop(params):
     for (a, b, _, rhs), row in zip(_DL_TABLE, rep.pairs):
         loop = 0.0
         for st in states[:8]:
-            values = {k: obs(st, params) for k, obs in LIBRARY.items()}
-            loop = max(loop, abs(bracket(LIBRARY[a], LIBRARY[b], st, params) - rhs(values)))
+            loop = max(loop, abs(bracket(a, b, st, params) - rhs(_values(st, params))))
         assert abs(row.max_residual - loop) <= 1e-12
 
 
@@ -254,37 +257,6 @@ def test_generator_kernel_matches_library_kernel(omega, radius, backend):
     for name in vals[0]:
         assert _same_bits(vals[0][name], vals[1][name]), name
         assert _same_bits(tables[0][name], tables[1][name]), name
-
-
-@pytest.mark.parametrize("wrong_stencil", [False, True])
-def test_fd_bracket_of_float_only_observables_matches_per_pass_loop(
-        params, wrong_stencil, monkeypatch):
-    import hyposc.poisson as poisson
-
-    if wrong_stencil:
-        monkeypatch.setattr(poisson, "FD_STENCIL", _WRONG_STENCIL)
-    f = Observable(
-        "f",
-        lambda st, par: math.sinh(st.point.q1) * math.cos(st.point.phi) * st.p2
-        + st.pphi**2 * math.cosh(st.point.q2) / par.radius,
-        supports_duals=False,
-    )
-    g = Observable(
-        "g", lambda st, par: float(np.cosh(st.point.q1)) * st.p1 - st.point.q2 * st.pphi,
-        supports_duals=False,
-    )
-    for st in sample_states(6, seed=9):
-        coords = [float(c) for c in poisson._scalars(st)]
-        grads = [
-            _fd_reference(
-                lambda c, o=obs: {o.name: o.evaluator(poisson._state_from(st.point.chart, c),
-                                                      params)},
-                coords, poisson.FD_STENCIL)[obs.name]
-            for obs in (f, g)
-        ]
-        expected = float(poisson._symplectic_pair(*grads))
-        assert _same_bits(bracket(f, g, st, params, backend="fd"), expected)
-        assert _same_bits(bracket(f, g, st, params), expected)  # auto picks fd
 
 
 def _dual_reference(values, coords):

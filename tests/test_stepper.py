@@ -168,6 +168,24 @@ def test_solve_stretch_reports_too_small_step():
     assert _bits(mine.t) == _bits(ref.t)
 
 
+def test_solve_stretch_stops_on_a_nan_step():
+    # a NaN derivative makes the first step size NaN, which fails every
+    # comparison of the rejection loop: the stretch must stop, not spin
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        if len(calls) > 1000:
+            raise RuntimeError("solve_stretch kept stepping on a NaN step size")
+        return np.full_like(y, np.nan)
+
+    sol = dyn.solve_stretch(rhs, (0.0, 2.0), np.array([1.0, 0.5]), rtol=1e-10, atol=1e-12)
+    assert sol.status == -1
+    assert sol.message == dyn.NONFINITE_STEP
+    assert sol.nfev == len(calls) <= 2
+    assert _bits(sol.t) == _bits(np.array([0.0]))
+
+
 BRACKETS = [
     (lambda x: math.cos(x) - x, 0.0, 1.0),
     (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
