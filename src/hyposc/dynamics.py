@@ -1043,7 +1043,13 @@ def integrate(
          initial.p1, initial.p2, initial.pphi],
         dtype=float,
     )
-    track_turns = _tracks_turns(chart.is_outer, start, params, mode)
+    try:
+        track_turns = _tracks_turns(chart.is_outer, start, params, mode)
+    except (OverflowError, ZeroDivisionError) as exc:  # a float power in the force
+        raise IntegrationError(f"initial force evaluation failed: {type(exc).__name__} "
+                               "before stepping") from None
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing z.z passes
+        _check_drift(t0, y80, R)  # a lift off the shell fails before the first step
     opts = dict(rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step)
     events = []
 

@@ -43,10 +43,6 @@ from .regimes import ChartId, ModelParams
 
 TWO_PI = 2.0 * math.pi
 
-# diag of the ambient metric G and of the constraint quadratic z.z = R^2
-METRIC_DIAG = np.array([-1.0, -1.0, 1.0, 1.0])
-CONSTRAINT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
-
 # relative tolerance on |z.z - R^2| accepted by chart_select / unembed
 # (matches the integrator's abort threshold, not the embed guarantee)
 CONSTRAINT_RTOL = 1e-8

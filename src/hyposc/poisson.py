@@ -311,17 +311,16 @@ class BracketReport:
         return "\n".join(lines)
 
 
-def _sweep(kernel, coords, params, relations, backends):
+def _sweep(kernel, coords, params, rows, backends):
     """Max residual (first backend) and max cross-backend gap per relation.
 
     kernel: `_generator_values` or `_tensor_values`, whichever holds every
     observable the relations read.
     coords: (6, N) outer-chart coordinates, one state per column.
-    relations: sequence of (a_name, b_name, rhs_fn) with rhs_fn(values,
-    params) the expected bracket value, per state.  The gap of a state is
-    |{a, b}_first - {a, b}_second| / max(1, |grad a| |grad b|): the bracket
-    pairs the two gradients, so its finite-difference error scales with the
-    product of their sizes.
+    rows: relation rows, in the format of the tables below.  The gap of a
+    state is |{a, b}_first - {a, b}_second| / max(1, |grad a| |grad b|): the
+    bracket pairs the two gradients, so its finite-difference error scales
+    with the product of their sizes.
 
     All relations are evaluated together, over blocks of at most `BLOCK`
     states: each backend's gradients are stacked component-major, as six
@@ -332,16 +331,17 @@ def _sweep(kernel, coords, params, relations, backends):
         return kernel(SAMPLE_CHART, c, params)
 
     vals = values(coords)
-    names = list(dict.fromkeys(n for a, b, _ in relations for n in (a, b)))
-    ia = np.array([names.index(a) for a, _, _ in relations])
-    ib = np.array([names.index(b) for _, b, _ in relations])
-    rhs = np.empty((len(relations), coords.shape[1]))
-    for j, (_, _, rhs_fn) in enumerate(relations):
-        rhs[j] = rhs_fn(vals, params)
+    w2, iR2 = params.omega**2, 1.0 / params.radius**2
+    names = list(dict.fromkeys(n for a, b, _, _ in rows for n in (a, b)))
+    ia = np.array([names.index(a) for a, _, _, _ in rows])
+    ib = np.array([names.index(b) for _, b, _, _ in rows])
+    rhs = np.empty((len(rows), coords.shape[1]))
+    for j, (_, _, _, rhs_fn) in enumerate(rows):
+        rhs[j] = rhs_fn(vals, w2, iR2)
     grads = [np.stack([t[n] for n in names], axis=1)  # (6, n_obs, N)
              for t in (_gradient_table(values, coords, b) for b in backends)]
-    res = np.zeros(len(relations))
-    gap = np.zeros(len(relations))
+    res = np.zeros(len(rows))
+    gap = np.zeros(len(rows))
     for start in range(0, coords.shape[1], BLOCK):
         comps = [g[:, :, start:start + BLOCK] for g in grads]
         lhs = [_symplectic_pair(_Rows(c, ia), _Rows(c, ib)) for c in comps]
@@ -355,95 +355,93 @@ def _sweep(kernel, coords, params, relations, backends):
     return res, gap
 
 
+def _verify(label, kernel, backends, groups, params, n_points, seed, tol, notes=()):
+    """The `BracketReport` of one sweep over ``groups`` of relation tables.
+
+    Each group is (table, row_tol, flagged, note); its rows are checked
+    against row_tol, or ``tol`` when row_tol is None.  A row passes when its
+    residual is below that tolerance and its cross-backend gap below
+    BACKEND_TOL; the gap is reported only when two backends run.  Display
+    names drop the 't' of Lt1-Lt3.
+    """
+    entries = [(row, row_tol or tol, flagged, note)
+               for table, row_tol, flagged, note in groups for row in table]
+    res, gap = _sweep(kernel, sample_coords(n_points, seed), params or ModelParams(),
+                      [row for row, _, _, _ in entries], backends)
+    checks = tuple(
+        BracketCheck(
+            lhs=f"{{{a.replace('Lt', 'L')}, {b.replace('Lt', 'L')}}}",
+            rhs=text,
+            n_points=n_points,
+            max_residual=float(res[j]),
+            passed=bool(res[j] < row_tol and gap[j] < BACKEND_TOL),
+            flagged=flagged,
+            backend_gap=float(gap[j]) if len(backends) > 1 else None,
+            note=note,
+        )
+        for j, ((a, b, text, _), row_tol, flagged, note) in enumerate(entries)
+    )
+    return BracketReport(label=label, tolerance=tol, pairs=checks, notes=notes)
+
+
 # --------------------------------------------------------------------------
-# generator algebra sweep
+# relation tables
+#
+# Every row is (a, b, rhs_text, rhs_fn): {a, b} = rhs_fn(values, w2, iR2),
+# with w2 = omega^2 and iR2 = 1/R^2.
 
-# {a, b} = coeff * target, in the ambient sign convention; the metric-weighted
-# structure constants with gbar = diag(1, -1, -1) give exactly these signs.
+# the generator algebra, in the ambient sign convention; the metric-weighted
+# structure constants with gbar = diag(1, -1, -1) give exactly these signs
 _SO22_TABLE = (
-    ("L1", "L2", -1.0, "L3"),
-    ("L1", "L3", +1.0, "L2"),
-    ("L2", "L3", +1.0, "L1"),
-    ("N1", "N2", -1.0, "L3"),
-    ("N1", "N3", +1.0, "L2"),
-    ("N2", "N3", +1.0, "L1"),
-    ("L1", "N1", 0.0, None),
-    ("L2", "N2", 0.0, None),
-    ("L3", "N3", 0.0, None),
-    ("L1", "N2", -1.0, "N3"),
-    ("L1", "N3", +1.0, "N2"),
-    ("L2", "N1", +1.0, "N3"),
-    ("L2", "N3", +1.0, "N1"),
-    ("L3", "N1", -1.0, "N2"),
-    ("L3", "N2", -1.0, "N1"),
+    ("L1", "L2", "-L3", lambda v, w2, iR2: -v["L3"]),
+    ("L1", "L3", "L2", lambda v, w2, iR2: v["L2"]),
+    ("L2", "L3", "L1", lambda v, w2, iR2: v["L1"]),
+    ("N1", "N2", "-L3", lambda v, w2, iR2: -v["L3"]),
+    ("N1", "N3", "L2", lambda v, w2, iR2: v["L2"]),
+    ("N2", "N3", "L1", lambda v, w2, iR2: v["L1"]),
+    ("L1", "N1", "0", lambda v, w2, iR2: 0.0),
+    ("L2", "N2", "0", lambda v, w2, iR2: 0.0),
+    ("L3", "N3", "0", lambda v, w2, iR2: 0.0),
+    ("L1", "N2", "-N3", lambda v, w2, iR2: -v["N3"]),
+    ("L1", "N3", "N2", lambda v, w2, iR2: v["N2"]),
+    ("L2", "N1", "N3", lambda v, w2, iR2: v["N3"]),
+    ("L2", "N3", "N1", lambda v, w2, iR2: v["N1"]),
+    ("L3", "N1", "-N2", lambda v, w2, iR2: -v["N2"]),
+    ("L3", "N2", "-N1", lambda v, w2, iR2: -v["N1"]),
 )
-
-
-def _coeff_name(coeff: float, target) -> str:
-    if target is None or coeff == 0.0:
-        return "0"
-    sign = "-" if coeff < 0 else ""
-    mag = abs(coeff)
-    factor = "" if mag == 1.0 else f"{mag:g} "
-    return f"{sign}{factor}{target}"
 
 
 def verify_so22(params: Optional[ModelParams] = None, n_points: int = 1000,
                 seed: int = 42, tol: float = DEFAULT_TOL) -> BracketReport:
     """Check the 15 independent generator brackets at random states, with
     the dual backend."""
-    params = params or ModelParams()
-    coords = sample_coords(n_points, seed)
-
-    relations = []
-    for a, b, coeff, target in _SO22_TABLE:
-        if target is None:
-            relations.append((a, b, lambda v, p: 0.0))
-        else:
-            relations.append((a, b, lambda v, p, c=coeff, t=target: c * v[t]))
-
-    res, _ = _sweep(_generator_values, coords, params, relations, ("dual",))
-    checks = tuple(
-        BracketCheck(
-            lhs=f"{{{a}, {b}}}",
-            rhs=_coeff_name(coeff, target),
-            n_points=n_points,
-            max_residual=float(res[j]),
-            passed=bool(res[j] < tol),
-        )
-        for j, (a, b, coeff, target) in enumerate(_SO22_TABLE)
-    )
-    return BracketReport(label="so22", tolerance=tol, pairs=checks)
+    return _verify("so22", _generator_values, ("dual",), ((_SO22_TABLE, None, False, ""),),
+                   params, n_points, seed, tol)
 
 
-# --------------------------------------------------------------------------
-# quadratic tensor algebra sweep
-#
-# All L's below are the Lt observables (L1 = +p_phi convention); display
-# strings drop the 't' for readability and the report carries a note.
+# The quadratic tensor algebra.  All L's below are the Lt observables
+# (L1 = +p_phi convention); display strings drop the 't' for readability and
+# the report carries a note.
 
 _DL_TABLE = (
-    ("D12", "Lt1", "-D13", lambda v: -v["D13"]),
-    ("D12", "Lt2", "-D23", lambda v: -v["D23"]),
-    ("D12", "Lt3", "-D11 - D22", lambda v: -v["D11"] - v["D22"]),
-    ("D13", "Lt1", "D12", lambda v: v["D12"]),
-    ("D13", "Lt2", "-D11 - D33", lambda v: -v["D11"] - v["D33"]),
-    ("D13", "Lt3", "-D23", lambda v: -v["D23"]),
-    ("D23", "Lt1", "D22 - D33", lambda v: v["D22"] - v["D33"]),
-    ("D23", "Lt2", "-D12", lambda v: -v["D12"]),
-    ("D23", "Lt3", "-D13", lambda v: -v["D13"]),
-    ("D11", "Lt2", "-2 D13", lambda v: -2.0 * v["D13"]),
-    ("D11", "Lt3", "-2 D12", lambda v: -2.0 * v["D12"]),
-    ("D22", "Lt1", "-2 D23", lambda v: -2.0 * v["D23"]),
-    ("D22", "Lt3", "-2 D12", lambda v: -2.0 * v["D12"]),
-    ("D33", "Lt1", "2 D23", lambda v: 2.0 * v["D23"]),
-    ("D33", "Lt2", "-2 D13", lambda v: -2.0 * v["D13"]),
-)
-
-_DIAGONAL_ZEROS = (
-    ("Lt1", "D11"),
-    ("Lt2", "D22"),
-    ("Lt3", "D33"),
+    ("D12", "Lt1", "-D13", lambda v, w2, iR2: -v["D13"]),
+    ("D12", "Lt2", "-D23", lambda v, w2, iR2: -v["D23"]),
+    ("D12", "Lt3", "-D11 - D22", lambda v, w2, iR2: -v["D11"] - v["D22"]),
+    ("D13", "Lt1", "D12", lambda v, w2, iR2: v["D12"]),
+    ("D13", "Lt2", "-D11 - D33", lambda v, w2, iR2: -v["D11"] - v["D33"]),
+    ("D13", "Lt3", "-D23", lambda v, w2, iR2: -v["D23"]),
+    ("D23", "Lt1", "D22 - D33", lambda v, w2, iR2: v["D22"] - v["D33"]),
+    ("D23", "Lt2", "-D12", lambda v, w2, iR2: -v["D12"]),
+    ("D23", "Lt3", "-D13", lambda v, w2, iR2: -v["D13"]),
+    ("D11", "Lt2", "-2 D13", lambda v, w2, iR2: -2.0 * v["D13"]),
+    ("D11", "Lt3", "-2 D12", lambda v, w2, iR2: -2.0 * v["D12"]),
+    ("D22", "Lt1", "-2 D23", lambda v, w2, iR2: -2.0 * v["D23"]),
+    ("D22", "Lt3", "-2 D12", lambda v, w2, iR2: -2.0 * v["D12"]),
+    ("D33", "Lt1", "2 D23", lambda v, w2, iR2: 2.0 * v["D23"]),
+    ("D33", "Lt2", "-2 D13", lambda v, w2, iR2: -2.0 * v["D13"]),
+    ("Lt1", "D11", "0", lambda v, w2, iR2: 0.0),
+    ("Lt2", "D22", "0", lambda v, w2, iR2: 0.0),
+    ("Lt3", "D33", "0", lambda v, w2, iR2: 0.0),
 )
 
 # the 12 product-form relations that survive the numeric check as stated
@@ -523,44 +521,8 @@ def verify_df_algebra(params: Optional[ModelParams] = None, n_points: int = 64,
     (``backend_gap`` reports that relative gap).  The three flagged rows record how far the rejected
     coefficient forms sit from the numeric bracket without gating the result.
     """
-    params = params or ModelParams()
-    coords = sample_coords(n_points, seed)
-    w2 = params.omega**2
-    iR2 = 1.0 / params.radius**2
-
-    rows = []       # (a, b, rhs_name, rhs_fn(values), tol, flagged, note)
-    for a, b, name, fn in _DL_TABLE:
-        rows.append((a, b, name, (lambda v, p, f=fn: f(v)), tol, False, ""))
-    for a, b in _DIAGONAL_ZEROS:
-        rows.append((a, b, "0", (lambda v, p: 0.0), tol, False, ""))
-    for a, b, name, fn in _DD_TABLE:
-        rows.append((a, b, name, (lambda v, p, f=fn: f(v, w2, iR2)), tol, False, ""))
-    for a, b, name, fn in _FLAGGED_TABLE:
-        rows.append((a, b, name, (lambda v, p, f=fn: f(v, w2, iR2)), tol, True,
-                     "candidate form rejected; numeric bracket is ground truth"))
-    for a, b, name, fn in _FITTED_TABLE:
-        rows.append((a, b, name, (lambda v, p, f=fn: f(v, w2, iR2)), FITTED_TOL, False,
-                     "fitted coefficients"))
-
-    relations = [(a, b, fn) for a, b, _, fn, _, _, _ in rows]
-    res, gap = _sweep(_tensor_values, coords, params, relations, ("dual", "fd"))
-
-    checks = []
-    for j, (a, b, name, _, row_tol, flagged, note) in enumerate(rows):
-        ok = bool(res[j] < row_tol) and bool(gap[j] < BACKEND_TOL)
-        checks.append(BracketCheck(
-            lhs=f"{{{a.replace('Lt', 'L')}, {b.replace('Lt', 'L')}}}",
-            rhs=name,
-            n_points=n_points,
-            max_residual=float(res[j]),
-            passed=ok,
-            flagged=flagged,
-            backend_gap=float(gap[j]),
-            note=note,
-        ))
-    return BracketReport(
-        label="df_algebra",
-        tolerance=tol,
-        pairs=tuple(checks),
-        notes=(_CONVENTION_NOTE, _FLAG_NOTE),
-    )
+    return _verify("df_algebra", _tensor_values, ("dual", "fd"), (
+        (_DL_TABLE + _DD_TABLE, None, False, ""),
+        (_FLAGGED_TABLE, None, True, "candidate form rejected; numeric bracket is ground truth"),
+        (_FITTED_TABLE, FITTED_TOL, False, "fitted coefficients"),
+    ), params, n_points, seed, tol, (_CONVENTION_NOTE, _FLAG_NOTE))

@@ -190,6 +190,12 @@ def inner_turning_angle(e: float, l_sq: float, params: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _l2_sign(l_sq: float, w2r4: float) -> int:
+    """-1, 0 or +1: the sign of L^2, zero inside its classification band."""
+    bl = CLASS_BAND * max(1.0, abs(l_sq), w2r4)
+    return (l_sq > bl) - (l_sq < -bl)
+
+
 def _regime_only(e: float, l_sq: float, params: ModelParams) -> RadialRegime:
     try:
         w2r2 = params.omega**2 * params.radius**2
@@ -199,15 +205,15 @@ def _regime_only(e: float, l_sq: float, params: ModelParams) -> RadialRegime:
                          f"{params.omega:g}, R = {params.radius:g}") from None
     half = 0.5 * w2r2
     be = CLASS_BAND * max(1.0, abs(e), half)
-    bl = CLASS_BAND * max(1.0, abs(l_sq), w2r4)
+    l2_sign = _l2_sign(l_sq, w2r4)
 
-    if l_sq < -bl:
+    if l2_sign < 0:
         return (
             RadialRegime.NEG_L2_BOUNDED
             if e < half - be
             else RadialRegime.NEG_L2_UNBOUNDED
         )
-    if abs(l_sq) <= bl:
+    if l2_sign == 0:
         if e <= be:
             return RadialRegime.FORBIDDEN
         return (
@@ -239,20 +245,14 @@ _BOUNDED = (
 def classify(e: float, l_sq: float, params: ModelParams) -> OrbitClassification:
     """Total classification of (E, L^2) into regime, conic, radii, period, carrier."""
     regime = _regime_only(e, l_sq, params)
-    bl = CLASS_BAND * max(1.0, abs(l_sq))
-    if l_sq < -bl:
-        carrier = Carrier.ONE_SHEETED
-    elif abs(l_sq) <= bl:
-        carrier = Carrier.HYPERBOLIC_CYLINDER
-    else:
-        carrier = Carrier.TWO_SHEETED_UPPER
+    # the regime's band, w2r4 finite there; carriers indexed by the sign 0, +1, -1
+    sign = _l2_sign(l_sq, params.omega**2 * params.radius**4)
+    carrier = (Carrier.HYPERBOLIC_CYLINDER, Carrier.TWO_SHEETED_UPPER, Carrier.ONE_SHEETED)[sign]
 
     if regime == RadialRegime.FORBIDDEN:
         return OrbitClassification(regime, None, None, None, None, carrier)
 
-    conic = None
-    if l_sq > bl:
-        conic = orbit_conic(e, l_sq, params)
+    conic = orbit_conic(e, l_sq, params) if sign > 0 else None
     r_min, r_max = turning_radii(e, l_sq, params)
     period = period_formula(e, params) if regime in _BOUNDED else None
     return OrbitClassification(regime, conic, r_min, r_max, period, carrier)

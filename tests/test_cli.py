@@ -290,6 +290,41 @@ def test_simulate_nan_first_step_is_a_numeric_error(tmp_path, capsys, monkeypatc
     assert len(calls) <= 2
 
 
+@pytest.mark.parametrize("state", [
+    # cosh(q2)**2 and sinh(q2)**2 in the radial force scale, then ch**3 in
+    # the outer chart equations, all evaluated before the first step
+    dict(_STATE, q1=0.5, q2=700.0, p1=0.0, p2=0.1),
+    dict(_STATE, chart="inner_minus", q1=0.5, q2=700.0, p1=0.0, p2=0.1),
+    dict(_STATE, q1=300.0, p1=0.0, p2=0.1),
+], ids=["outer-q2", "inner-q2", "outer-q1"])
+def test_pre_solve_force_overflow_is_a_numeric_error_in_a_fresh_process(tmp_path, state):
+    cfg = _base_config(initial={"state": state}, integration={"t_span": [0.0, 2.0]})
+    cfg_path = _write_config(tmp_path, cfg)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyposc.cli", "simulate", "--config", cfg_path,
+         "--out", str(tmp_path / "x")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_NUMERIC, proc.stderr
+    assert proc.stderr == ("integration failed: initial force evaluation failed: "
+                           "OverflowError before stepping\n")
+
+
+@pytest.mark.parametrize("pphi, p2", [(1.0, 0.0), (0.0, 0.3)], ids=["chart", "ambient"])
+def test_initial_lift_off_the_shell_fails_before_stepping(tmp_path, capsys, monkeypatch,
+                                                          pphi, p2):
+    # at q1 = 16 the lift's z.z rounds 8e-3 R^2 away from R^2
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("solve_stretch called")
+
+    monkeypatch.setattr(dynamics, "solve_stretch", no_stepping)
+    state = dict(_STATE, q1=16.0, p1=0.1, p2=p2, pphi=pphi)
+    cfg = _base_config(initial={"state": state}, integration={"t_span": [0.0, 2.0]})
+    code, err = _simulate_exit(tmp_path, capsys, cfg)
+    assert code == EXIT_NUMERIC and err.count("\n") == 1, err
+    assert err.startswith("integration failed: constraint drift ") and err.endswith(" at t=0.0\n")
+
+
 def test_inner_state_on_the_axis_is_a_config_error_in_a_fresh_process(tmp_path):
     # p_phi != 0 at mu = 0: the lift divides by sinh(mu)
     state = {"chart": "inner_minus", "q1": 0.5, "q2": 0.0, "phi": 0.0,

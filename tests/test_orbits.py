@@ -323,6 +323,36 @@ def test_classify_periods_and_radii(params):
     assert classify(0.3, 0.25, params).period is None
 
 
+@pytest.mark.parametrize("omega, radius", [
+    (1.0, 1.0), (2.0, 0.5), (0.5, 3.0), (1e3, 1.0), (1.0, 30.0), (10.0, 0.01), (0.01, 1.0),
+])
+def test_carrier_and_conic_follow_the_regime(omega, radius):
+    # classify decides the sign of L^2 in the regime's band,
+    # CLASS_BAND max(1, |L^2|, omega^2 R^4), for the carrier and conic too
+    p = ModelParams(omega, radius)
+    w2r2, w2r4 = omega**2 * radius**2, omega**2 * radius**4
+    zero = (RadialRegime.ZERO_L2_BOUNDED, RadialRegime.ZERO_L2_UNBOUNDED)
+    neg = (RadialRegime.NEG_L2_BOUNDED, RadialRegime.NEG_L2_UNBOUNDED)
+    for e in (0.2, 0.375, 0.4, 0.5, 0.8):
+        for l_sq in (-1.0, -1e-9, -1e-13, 0.0, 1e-13, 1e-9, 0.25, 1.1):
+            oc = classify(e * w2r2, l_sq * w2r4, p)
+            if oc.regime in zero:
+                assert oc.carrier == Carrier.HYPERBOLIC_CYLINDER and oc.conic is None, (e, l_sq)
+            elif oc.regime in neg:
+                assert oc.carrier == Carrier.ONE_SHEETED and oc.conic is None, (e, l_sq)
+            elif oc.regime != RadialRegime.FORBIDDEN:
+                assert oc.carrier == Carrier.TWO_SHEETED_UPPER, (e, l_sq)
+                assert oc.conic is not None, (e, l_sq)
+
+
+def test_zero_l2_band_at_large_omega_has_no_conic():
+    # |L^2| = 1e-9 lies inside the band 1e-12 omega^2 R^4 = 1e-6
+    oc = classify(4e5, 1e-9, ModelParams(1e3, 1.0))
+    assert oc.regime == RadialRegime.ZERO_L2_BOUNDED
+    assert oc.carrier == Carrier.HYPERBOLIC_CYLINDER
+    assert oc.conic is None
+
+
 # ---------------------------------------------------------------------------
 # canonical states
 # ---------------------------------------------------------------------------

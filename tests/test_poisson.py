@@ -157,12 +157,12 @@ def test_batched_sweeps_match_single_state_loop(params):
     # the sweeps' batched residuals against bracket() state by state
     from hyposc.poisson import _DL_TABLE, _SO22_TABLE
 
+    w2, iR2 = params.omega**2, 1.0 / params.radius**2
     states = sample_states(24, seed=11)
     rep = verify_so22(params, n_points=24, seed=11)
-    for (a, b, coeff, target), row in zip(_SO22_TABLE, rep.pairs):
+    for (a, b, _, rhs), row in zip(_SO22_TABLE, rep.pairs):
         loop = max(
-            abs(bracket(a, b, st, params)
-                - (coeff * _values(st, params)[target] if target else 0.0))
+            abs(bracket(a, b, st, params) - rhs(_values(st, params), w2, iR2))
             for st in states
         )
         assert abs(row.max_residual - loop) <= 1e-12
@@ -170,7 +170,7 @@ def test_batched_sweeps_match_single_state_loop(params):
     for (a, b, _, rhs), row in zip(_DL_TABLE, rep.pairs):
         loop = 0.0
         for st in states[:8]:
-            loop = max(loop, abs(bracket(a, b, st, params) - rhs(_values(st, params))))
+            loop = max(loop, abs(bracket(a, b, st, params) - rhs(_values(st, params), w2, iR2)))
         assert abs(row.max_residual - loop) <= 1e-12
 
 
@@ -331,30 +331,26 @@ def _sweep_reference(kernel, coords, params, relations, backends):
         return kernel(poisson.SAMPLE_CHART, c, params)
 
     vals = values(coords)
+    w2, iR2 = params.omega**2, 1.0 / params.radius**2
     tables = [poisson._gradient_table(values, coords, b) for b in backends]
     res = np.zeros(len(relations))
     gap = np.zeros(len(relations))
-    for j, (a, b, rhs_fn) in enumerate(relations):
+    for j, (a, b, _, rhs_fn) in enumerate(relations):
         lhs = [pair(t[a], t[b]) for t in tables]
-        res[j] = np.max(np.abs(lhs[0] - rhs_fn(vals, params)))
+        res[j] = np.max(np.abs(lhs[0] - rhs_fn(vals, w2, iR2)))
         if len(lhs) > 1:
             size = np.linalg.norm(tables[0][a], axis=0) * np.linalg.norm(tables[0][b], axis=0)
             gap[j] = np.max(np.abs(lhs[0] - lhs[1]) / np.maximum(1.0, size))
     return res, gap
 
 
-def _relations(kind, params):
+def _relations(kind):
     import hyposc.poisson as poisson
 
     if kind == "so22":
-        return [(a, b, (lambda v, p: 0.0) if t is None else (lambda v, p, c=c, t=t: c * v[t]))
-                for a, b, c, t in poisson._SO22_TABLE]
-    w2, iR2 = params.omega**2, 1.0 / params.radius**2
-    rows = [(a, b, lambda v, p, f=f: f(v)) for a, b, _, f in poisson._DL_TABLE]
-    rows += [(a, b, lambda v, p: 0.0) for a, b in poisson._DIAGONAL_ZEROS]
-    for table in (poisson._DD_TABLE, poisson._FLAGGED_TABLE, poisson._FITTED_TABLE):
-        rows += [(a, b, lambda v, p, f=f: f(v, w2, iR2)) for a, b, _, f in table]
-    return rows
+        return list(poisson._SO22_TABLE)
+    return [*poisson._DL_TABLE, *poisson._DD_TABLE, *poisson._FLAGGED_TABLE,
+            *poisson._FITTED_TABLE]
 
 
 @pytest.mark.parametrize("kind", ["so22", "df_algebra"])
@@ -369,7 +365,7 @@ def test_stacked_relation_pass_matches_per_relation_loop(kind):
         kernel, backends = poisson._generator_values, ("dual",)
     else:
         kernel, backends = poisson._tensor_values, ("dual", "fd")
-    relations = _relations(kind, params)
+    relations = _relations(kind)
     res, gap = poisson._sweep(kernel, coords, params, relations, backends)
     ref_res, ref_gap = _sweep_reference(kernel, coords, params, relations, backends)
     assert _same_bits(res, ref_res)
