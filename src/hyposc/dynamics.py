@@ -20,7 +20,8 @@ on the constrained ambient system
 
 throughout (z . grad V = 0, so the multiplier carries no potential term).
 
-A run is one call of `solve_stretch`: DOP853 stepped over the span, with
+A run is one call of `solve_stretch`: DOP853 stepped over the span at the
+fixed tolerances REL_TOL and ABS_TOL (2-8 steps per dynamical time), with
 solve_ivp's event rules and one DenseSolution over the per-step
 interpolants.  The stepper and brentq are ports of scipy's (below), so
 the package needs numpy only; each step's dense output is built the first
@@ -51,7 +52,6 @@ multiple of the radial period (full identity at even multiples).
 import bisect
 import json
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -91,10 +91,13 @@ def __getattr__(name):
 
 CLOSURE_TOL = 1e-6
 CONSTRAINT_ABORT = 1e-8
+# the stepper's tolerances, the only ones CLOSURE_TOL and CONSTRAINT_ABORT are sized at
+REL_TOL = 1e-10
+ABS_TOL = 1e-12
 # chart runs need L^2 > 2 R^2 H S_BAND, which keeps sinh^2 r above S_BAND
 S_BAND = 2e-5
 # longest span integrate accepts, in dynamical times 1/(omega + sqrt(2|H|)/R);
-# runs measured 2-8 steps per dynamical time (rel_tol 1e-9 to 1e-12), so the
+# runs measured 2-8 steps per dynamical time at REL_TOL and ABS_TOL, so the
 # limit is a few million steps; a huge momentum (p1 = 1e154) would step forever
 MAX_DYNAMICAL_TIMES = 1e6
 
@@ -119,16 +122,9 @@ class Event:
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_step: float = math.inf
     t_span: tuple = (0.0, 10.0)
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if not (self.max_step > 0.0):
-            raise ValueError("max_step must be positive")
         t0, t1 = self.t_span
         if not (t1 > t0):
             raise ValueError("t_span must have t1 > t0")
@@ -568,7 +564,7 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol):
+def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     """First step size: Hairer-Norsett-Wanner II.4 (scipy's select_initial_step)."""
     interval_length = abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
@@ -586,7 +582,7 @@ def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, interval_length, max_step)
+    return min(100 * h0, h1, interval_length)
 
 
 def _error_norm(K, h, scale):
@@ -773,8 +769,8 @@ class Stretch(NamedTuple):
     t_proj: tuple  # times at which the state was projected
 
 
-def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, max_step=math.inf,
-                  project=None, dt_proj=math.inf, check=None) -> Stretch:
+def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, project=None,
+                  dt_proj=math.inf, check=None) -> Stretch:
     """Step DOP853 over t_span (t1 > t0), detecting events as solve_ivp does.
 
     An event function counts on a step when g_old <= 0 <= g_new or g_old >= 0
@@ -796,11 +792,8 @@ def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, max_step=math.inf,
     if not np.isfinite(y).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
     fun = _Rhs(fun)
-    if rtol < 100 * _EPS:
-        warnings.warn(f"rtol = {rtol:g} is below 100 eps; using {100 * _EPS:g}", stacklevel=2)
-        rtol = 100 * _EPS
     f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, t_bound, max_step, f, rtol, atol)
+    h_abs = _initial_step(fun, t, y, t_bound, f, rtol, atol)
 
     tol = 4.0 * _EPS
     direction = [getattr(ev, "direction", 0.0) for ev in events]
@@ -813,7 +806,7 @@ def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, max_step=math.inf,
     while status is None:
         # one step: shrink until the error estimate is below 1
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        h_abs = min(max(h_abs, min_step), max_step)
+        h_abs = max(h_abs, min_step)
         K = np.empty((16, y.size))
         step_rejected = False
         while True:
@@ -992,10 +985,11 @@ class Trajectory:
 
 
 def _solve(kind: str, *args, **kwargs) -> Stretch:
-    """solve_stretch, its failures raised as IntegrationError.  A float power or
-    division in the RHS raises where numpy gives inf; caught here, it costs no step."""
+    """solve_stretch at REL_TOL and ABS_TOL, its failures raised as IntegrationError.
+    A float power or division in the RHS raises where numpy gives inf; caught here,
+    it costs no step."""
     try:
-        sol = solve_stretch(*args, **kwargs)
+        sol = solve_stretch(*args, rtol=REL_TOL, atol=ABS_TOL, **kwargs)
     except (OverflowError, ZeroDivisionError) as exc:
         raise IntegrationError(f"{kind} integration failed: {type(exc).__name__} "
                                "while stepping") from None
@@ -1050,7 +1044,6 @@ def integrate(
                                "before stepping") from None
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing z.z passes
         _check_drift(t0, y80, R)  # a lift off the shell fails before the first step
-    opts = dict(rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step)
     events = []
 
     if chart.is_outer and l_squared(initial) > 2.0 * R2 * h0val * S_BAND:
@@ -1059,7 +1052,7 @@ def integrate(
         def ev_turn(tt, yy):
             return yy[3]
 
-        sol = _solve("chart", rhs, (t0, t1), start, [ev_turn] if track_turns else [], **opts)
+        sol = _solve("chart", rhs, (t0, t1), start, [ev_turn] if track_turns else [])
         for t_ev in sol.t_events[0] if track_turns else ():
             if t_ev <= t0 + 1e-12:
                 continue
@@ -1083,7 +1076,7 @@ def integrate(
         sol = _solve(
             "ambient", rhs, (t0, t1), y80, [ev_cross, ev_turn_amb] if track_turns else [ev_cross],
             project=lambda y8: _project_constraint(y8, R), dt_proj=dt_proj,
-            check=lambda t, y8: _check_drift(t, y8, R), **opts
+            check=lambda t, y8: _check_drift(t, y8, R)
         )
         for t_ev in sol.t_events[0]:
             yev = sol.sol(float(t_ev))
@@ -1108,8 +1101,7 @@ def integrate(
             y8 = np.array(lift_coords(chart, q, R))
             _check_drift(t_i, y8, R)
             charts.append(chart)
-        else:
-            _check_drift(t_i, yvec, R)
+        else:  # the stepper's check hook has seen every ambient sample
             y8 = _project_constraint(yvec, R, t_i)
             ph = _phase_from_y8(y8)
             charts.append(chart_select(ph.z, params))

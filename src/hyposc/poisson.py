@@ -355,16 +355,16 @@ def _sweep(kernel, coords, params, rows, backends):
     return res, gap
 
 
-def _verify(label, kernel, backends, groups, params, n_points, seed, tol, notes=()):
+def _verify(label, kernel, backends, groups, params, n_points, seed, notes=()):
     """The `BracketReport` of one sweep over ``groups`` of relation tables.
 
     Each group is (table, row_tol, flagged, note); its rows are checked
-    against row_tol, or ``tol`` when row_tol is None.  A row passes when its
+    against row_tol, or DEFAULT_TOL when row_tol is None.  A row passes when its
     residual is below that tolerance and its cross-backend gap below
     BACKEND_TOL; the gap is reported only when two backends run.  Display
     names drop the 't' of Lt1-Lt3.
     """
-    entries = [(row, row_tol or tol, flagged, note)
+    entries = [(row, row_tol or DEFAULT_TOL, flagged, note)
                for table, row_tol, flagged, note in groups for row in table]
     res, gap = _sweep(kernel, sample_coords(n_points, seed), params or ModelParams(),
                       [row for row, _, _, _ in entries], backends)
@@ -381,7 +381,7 @@ def _verify(label, kernel, backends, groups, params, n_points, seed, tol, notes=
         )
         for j, ((a, b, text, _), row_tol, flagged, note) in enumerate(entries)
     )
-    return BracketReport(label=label, tolerance=tol, pairs=checks, notes=notes)
+    return BracketReport(label=label, tolerance=DEFAULT_TOL, pairs=checks, notes=notes)
 
 
 # --------------------------------------------------------------------------
@@ -412,11 +412,11 @@ _SO22_TABLE = (
 
 
 def verify_so22(params: Optional[ModelParams] = None, n_points: int = 1000,
-                seed: int = 42, tol: float = DEFAULT_TOL) -> BracketReport:
+                seed: int = 42) -> BracketReport:
     """Check the 15 independent generator brackets at random states, with
     the dual backend."""
     return _verify("so22", _generator_values, ("dual",), ((_SO22_TABLE, None, False, ""),),
-                   params, n_points, seed, tol)
+                   params, n_points, seed)
 
 
 # The quadratic tensor algebra.  All L's below are the Lt observables
@@ -511,11 +511,11 @@ _FLAG_NOTE = (
 
 
 def verify_df_algebra(params: Optional[ModelParams] = None, n_points: int = 64,
-                      seed: int = 42, tol: float = DEFAULT_TOL) -> BracketReport:
+                      seed: int = 42) -> BracketReport:
     """Sweep the tensor-generator and tensor-tensor bracket relations.
 
     Every relation is evaluated with both derivative backends; a relation
-    passes when the dual-backend residual is below ``tol`` (FITTED_TOL
+    passes when the dual-backend residual is below DEFAULT_TOL (FITTED_TOL
     for the fitted coefficient rows) and the backends agree to
     BACKEND_TOL relative to max(1, |grad a| |grad b|) at every state
     (``backend_gap`` reports that relative gap).  The three flagged rows record how far the rejected
@@ -525,4 +525,4 @@ def verify_df_algebra(params: Optional[ModelParams] = None, n_points: int = 64,
         (_DL_TABLE + _DD_TABLE, None, False, ""),
         (_FLAGGED_TABLE, None, True, "candidate form rejected; numeric bracket is ground truth"),
         (_FITTED_TABLE, FITTED_TOL, False, "fitted coefficients"),
-    ), params, n_points, seed, tol, (_CONVENTION_NOTE, _FLAG_NOTE))
+    ), params, n_points, seed, (_CONVENTION_NOTE, _FLAG_NOTE))

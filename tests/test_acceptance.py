@@ -272,7 +272,8 @@ def test_criterion_06_conic_orbit_geometry(case_a, params):
 
 
 def test_criterion_07_bracket_algebra(params):
-    so22 = verify_so22(params, n_points=N_ALGEBRA_STATES, seed=42, tol=TOL_BRACKET)
+    so22 = verify_so22(params, n_points=N_ALGEBRA_STATES, seed=42)
+    assert so22.tolerance == TOL_BRACKET
     worst_so22 = max(p.max_residual for p in so22.pairs)
 
     df = verify_df_algebra(params, n_points=64, seed=42)

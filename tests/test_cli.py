@@ -131,23 +131,29 @@ def test_load_config_energy_screens():
     assert rc.analytic == (-0.5, -2.0)
 
 
+# the representation is chosen from the initial state and the stepper runs at
+# fixed tolerances, so each of these keys, set to a once valid value, is unknown
+_REMOVED_INTEGRATION_KEYS = (("method", "ambient"), ("method", "chart"), ("boundary_band", 1e-6),
+                             ("rel_tol", 1e-10), ("abs_tol", 1e-12), ("max_step", 0.5))
+
+
 def test_load_config_bad_integration():
     with pytest.raises(ConfigError):
         load_config(_base_config(integration={"t_span": [0.0]}))
     with pytest.raises(ConfigError):
         load_config(_base_config(integration={"steps": 100}))
-    # the representation is chosen from the initial state; the old knobs fail
-    for key, value in (("method", "ambient"), ("method", "verlet"), ("boundary_band", 1e-6)):
-        with pytest.raises(ConfigError, match=f"integration.{key} .*initial state"):
+    for key, value in _REMOVED_INTEGRATION_KEYS:
+        with pytest.raises(ConfigError) as exc:
             load_config(_base_config(integration={"t_span": [0.0, 8.0], key: value}))
+        assert str(exc.value) == f"unknown key(s) ['{key}'] in integration"
 
 
 def test_simulate_rejects_removed_integration_keys(tmp_path, capsys):
-    for key, value in (("method", "chart"), ("boundary_band", 1e-6)):
+    for key, value in _REMOVED_INTEGRATION_KEYS:
         cfg = _base_config(integration={"t_span": [0.0, 8.0], key: value})
         cfg_path = _write_config(tmp_path, cfg)
         assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
-        assert f"integration.{key}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: unknown key(s) ['{key}'] in integration\n"
     assert not (tmp_path / "x").exists()
 
 
@@ -165,9 +171,10 @@ def test_simulate_non_numeric_t_span_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["rel_tol", "abs_tol", "max_step"])
 def test_simulate_non_numeric_tolerance_is_a_config_error(tmp_path, capsys, key):
+    # a tolerance key of any value is unknown
     cfg = _base_config(integration={"t_span": [0.0, 8.0], key: "x"})
     code, err = _simulate_exit(tmp_path, capsys, cfg)
-    assert code == EXIT_CONFIG and err.startswith("config error: bad integration block")
+    assert code == EXIT_CONFIG and err == f"config error: unknown key(s) ['{key}'] in integration\n"
 
 
 def test_simulate_non_list_figure_ids_is_a_config_error(tmp_path, capsys):
@@ -380,33 +387,52 @@ def test_verify_negative_seed_is_a_config_error(suite, capsys):
     assert captured.out == ""
 
 
+def _usage_error(argv, capsys) -> str:
+    """The last stderr line of main(argv), which must exit 2 through argparse."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err.splitlines()[-1]
+
+
+# the pass tolerances are fixed, so verify has no --tol for any value
 @pytest.mark.parametrize("suite", ["so22", "appendix_a", "identities", "all"])
 @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf", "-inf"])
 def test_verify_tolerance_outside_positive_finite_is_a_config_error(suite, tol, capsys):
-    assert main(["verify", suite, f"--tol={tol}", "--points", "4"]) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.err == f"config error: --tol must be positive and finite, got {float(tol)}\n"
-    assert captured.out == ""
+    err = _usage_error(["verify", suite, f"--tol={tol}", "--points", "4"], capsys)
+    assert err == f"hyposc: error: unrecognized arguments: --tol={tol}"
+
+
+@pytest.mark.parametrize("suite", ["so22", "appendix_a", "identities", "all"])
+def test_verify_tol_is_an_unknown_argument(suite, capsys):
+    err = _usage_error(["verify", suite, "--points", "4", "--tol", "1e-3"], capsys)
+    assert err == "hyposc: error: unrecognized arguments: --tol 1e-3"
 
 
 def test_verify_identities_rejects_tolerance(capsys):
-    # its tolerances are fixed relative to each state's scale
-    assert main(["verify", "identities", "--points", "50", "--tol", "1e-300"]) == EXIT_CONFIG
+    err = _usage_error(["verify", "identities", "--points", "50", "--tol", "1e-300"], capsys)
+    assert err == "hyposc: error: unrecognized arguments: --tol 1e-300"
+
+
+@pytest.mark.parametrize("suite", ["so22", "appendix_a", "identities", "all"])
+def test_verify_points_beyond_memory_is_a_config_error(suite, capsys):
+    # 1e15 states need petabytes, more than any address space: numpy refuses
+    # the first allocation at once
+    assert main(["verify", suite, "--points", "1000000000000000"]) == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert captured.err == (
-        "config error: --tol does not apply to identities, whose tolerances are fixed "
-        "relative to each state's scale (1e-10, 1e-09)\n"
-    )
+    assert captured.err == ("config error: --points 1000000000000000 needs more memory "
+                            "than is available\n")
     assert captured.out == ""
 
 
 def test_verify_all_applies_tolerance_to_bracket_sweeps(tmp_path, capsys):
     out = tmp_path / "verify"
-    assert main(["verify", "all", "--points", "8", "--tol", "1e-300", "--out", str(out)]) \
-        == EXIT_NUMERIC
+    assert main(["verify", "all", "--points", "8", "--out", str(out)]) == EXIT_OK
     for name in ("so22", "appendix_a"):
         report = json.loads((out / f"{name}.json").read_text())
-        assert report["tolerance"] == 1e-300 and not report["passed"]
+        assert report["tolerance"] == 1e-6 and report["passed"]
     identities = json.loads((out / "identities.json").read_text())
     assert [c["tol"] for c in identities["checks"]] == [1e-10, 1e-9, 1e-9, 1e-9, None]
     assert identities["passed"]

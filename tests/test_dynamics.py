@@ -202,10 +202,6 @@ def test_rhs_overflow_still_raises():
 
 def test_integration_config_validation():
     with pytest.raises(ValueError):
-        IntegrationConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegrationConfig(max_step=-1.0)
-    with pytest.raises(ValueError):
         IntegrationConfig(t_span=(1.0, 1.0))
 
 
@@ -312,7 +308,7 @@ def test_chart_and_ambient_methods_agree(params):
     assert traj.chart is ChartId.OUTER_PLUS
     y80 = dyn._y8_from_phase(momentum_lift(st, params))
     ref = dyn.solve_stretch(dyn._ambient_rhs(params, Mode.OSCILLATOR), cfg.t_span, y80,
-                            rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                            rtol=dyn.REL_TOL, atol=dyn.ABS_TOL,
                             project=lambda y: dyn._project_constraint(y, params.radius),
                             dt_proj=1.0)
     assert ref.status == 0 and ref.t_proj
@@ -335,7 +331,7 @@ def test_chart_turning_events_match_solve_ivp(case_a, params):
 
     y0 = [st.point.q1, st.point.q2, st.point.phi, st.p1, st.p2, st.pphi]
     ref = solve_ivp(dyn._chart_rhs(True, params, Mode.OSCILLATOR), cfg.t_span, y0,
-                    method="DOP853", rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                    method="DOP853", rtol=dyn.REL_TOL, atol=dyn.ABS_TOL,
                     dense_output=True, events=[turn])
     expected = [t for t in ref.t_events[0] if t > 1e-12]
     turns = [e.t for e in case_a["traj"].events if e.kind == EventKind.RADIAL_TURNING_POINT]
