@@ -533,11 +533,15 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("id", help="figure number 1..9, or all")
     fig.add_argument("--out", default=".", help="output directory")
 
+    for parser in sub.choices.values():
+        parser.set_defaults(parser=parser)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # argparse would report them with the top-level usage
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     # numpy's OpenBLAS starts a worker pool on import that only burns start-up CPU
     # here: the largest BLAS operand is the stepper's 16x8 stage matrix, far below
     # the size at which OpenBLAS splits a call.  A thread count the user set wins.

@@ -8,12 +8,12 @@ Chart-form Hamiltonians (kinetic sign flips between chart families):
 with the chart L^2 of invariants.l_squared.  Free mode drops the potential.
 
 Each run is integrated in one representation, chosen from the initial state.
-An outer-chart state with L^2 > 2 R^2 H S_BAND runs on the outer chart
-equations: at its pericenter p_r = 0 and the potential is >= 0, so
-H >= L^2/(2 R^2 s_min) and the shape s = sinh^2 r never falls below S_BAND,
-well clear of the degenerate cone |z0| = R (s = 0).  Every other state
-(inner charts, where L^2 <= 0, and orbits that can come near the cone) runs
-on the constrained ambient system
+The chart equations of motion are the outer charts' only.  An outer-chart
+state with L^2 > 2 R^2 H S_BAND runs on them: at its pericenter p_r = 0 and
+the potential is >= 0, so H >= L^2/(2 R^2 s_min) and the shape s = sinh^2 r
+never falls below S_BAND, well clear of the degenerate cone |z0| = R (s = 0).
+Every other state (every inner-chart start, where L^2 <= 0, and outer orbits
+that can come near the cone) runs on the constrained ambient system
 
     zdot = G^{-1} p,   pdot = -grad V + lambda G z,
     lambda = G^{-1}(p, p) / R^2
@@ -193,66 +193,36 @@ def _float_rhs(body):
     return rhs
 
 
-def _chart_rhs(is_outer: bool, params: ModelParams, mode: Mode):
-    """rhs(t, y) of the canonical equations qdot = dH/dp, pdot = -dH/dq on one
-    chart family, y = (q1, q2, phi, p1, p2, pphi); p_phi is always conserved."""
+def _chart_rhs(params: ModelParams, mode: Mode):
+    """rhs(t, y) of the canonical equations qdot = dH/dp, pdot = -dH/dq on an
+    outer chart, y = (q1, q2, phi, p1, p2, pphi); p_phi is always conserved."""
     R2 = params.radius**2
     w2 = params.omega**2 * R2 if mode == Mode.OSCILLATOR else 0.0
 
-    if is_outer:
-
-        def outer(q1, q2, phi, p1, p2, pphi):
-            sh, ch = math.sinh(q1), math.cosh(q1)
-            if p2 == 0.0 and pphi == 0.0:
-                dp1 = -w2 * sh / ch**3
-                return (p1 / R2, 0.0, 0.0, dp1, 0.0, 0.0)
-            sht, cht = math.sinh(q2), math.cosh(q2)
-            sh2 = sh * sh
-            cht2 = cht * cht
-            lsq = pphi * pphi / cht2 - p2 * p2
-            return (
-                p1 / R2,
-                -p2 / (R2 * sh2),
-                pphi / (R2 * sh2 * cht2),
-                lsq * ch / (R2 * sh2 * sh) - w2 * sh / ch**3,
-                pphi * pphi * sht / (R2 * sh2 * cht2 * cht),
-                0.0,
-            )
-
-        return _float_rhs(outer)
-
-    def inner(q1, q2, phi, p1, p2, pphi):
-        sn, cn = math.sin(q1), math.cos(q1)
+    def outer(q1, q2, phi, p1, p2, pphi):
+        sh, ch = math.sinh(q1), math.cosh(q1)
         if p2 == 0.0 and pphi == 0.0:
-            return (-p1 / R2, 0.0, 0.0, w2 * sn / cn**3, 0.0, 0.0)
-        sn2 = sn * sn
-        if pphi == 0.0:
-            a = p2 * p2
-            return (
-                -p1 / R2,
-                p2 / (R2 * sn2),
-                0.0,
-                a * cn / (R2 * sn2 * sn) + w2 * sn / cn**3,
-                0.0,
-                0.0,
-            )
-        shm, chm = math.sinh(q2), math.cosh(q2)
-        shm2 = shm * shm
-        a = p2 * p2 + pphi * pphi / shm2
+            dp1 = -w2 * sh / ch**3
+            return (p1 / R2, 0.0, 0.0, dp1, 0.0, 0.0)
+        sht, cht = math.sinh(q2), math.cosh(q2)
+        sh2 = sh * sh
+        cht2 = cht * cht
+        lsq = pphi * pphi / cht2 - p2 * p2
         return (
-            -p1 / R2,
-            p2 / (R2 * sn2),
-            pphi / (R2 * sn2 * shm2),
-            a * cn / (R2 * sn2 * sn) + w2 * sn / cn**3,
-            pphi * pphi * chm / (R2 * sn2 * shm2 * shm),
+            p1 / R2,
+            -p2 / (R2 * sh2),
+            pphi / (R2 * sh2 * cht2),
+            lsq * ch / (R2 * sh2 * sh) - w2 * sh / ch**3,
+            pphi * pphi * sht / (R2 * sh2 * cht2 * cht),
             0.0,
         )
 
-    return _float_rhs(inner)
+    return _float_rhs(outer)
 
 
 def _radial_force_scale(is_outer: bool, y, params: ModelParams, mode: Mode) -> float:
-    """Magnitude scale of the two radial force terms (for near-cancellation tests)."""
+    """Magnitude scale of the two radial force terms (for near-cancellation tests).
+    On an inner chart both terms have the sign of tan chi: the scale is |pdot_chi|."""
     R2 = params.radius**2
     w2 = params.omega**2 * R2 if mode == Mode.OSCILLATOR else 0.0
     if is_outer:
@@ -276,8 +246,8 @@ def _tracks_turns(is_outer: bool, y, params: ModelParams, mode: Mode) -> bool:
     pmag = max(1.0, abs(y[4]), abs(y[5]))
     if abs(y[3]) >= 1e-12 * pmag:
         return True
-    d1 = _chart_rhs(is_outer, params, mode)(0.0, y)[3]
     fmag = _radial_force_scale(is_outer, y, params, mode)
+    d1 = _chart_rhs(params, mode)(0.0, y)[3] if is_outer else fmag
     return abs(d1) >= 1e-9 * max(fmag, 1e-30)
 
 
@@ -1047,7 +1017,7 @@ def integrate(
     events = []
 
     if chart.is_outer and l_squared(initial) > 2.0 * R2 * h0val * S_BAND:
-        rhs = _chart_rhs(True, params, mode)
+        rhs = _chart_rhs(params, mode)
 
         def ev_turn(tt, yy):
             return yy[3]
@@ -1169,7 +1139,13 @@ def measure_period(traj: Trajectory) -> Optional[float]:
     pscale = max(1.0, np.max(np.abs(traj.column("pphi"))))
     if p1max < 1e-8 * pscale:
         y = [traj.column(name)[0] for name in ("q1", "q2", "phi", "p1", "p2", "pphi")]
-        rate = abs(_chart_rhs(traj.charts[0].is_outer, traj.params, traj.mode)(0.0, y)[2])
+        if traj.charts[0].is_outer:
+            rate = abs(_chart_rhs(traj.params, traj.mode)(0.0, y)[2])
+        elif y[5] != 0.0:  # the inner phidot = p_phi/(R^2 sin^2 chi sinh^2 mu)
+            sn, shm = math.sin(y[0]), math.sinh(y[1])
+            rate = abs(y[5] / (traj.params.radius**2 * (sn * sn) * (shm * shm)))
+        else:
+            rate = 0.0
         window = traj.times[-1] - traj.times[0]
         if rate > 0.0 and window * rate >= math.pi:
             return math.pi / rate

@@ -402,18 +402,28 @@ def _usage_error(argv, capsys) -> str:
 @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf", "-inf"])
 def test_verify_tolerance_outside_positive_finite_is_a_config_error(suite, tol, capsys):
     err = _usage_error(["verify", suite, f"--tol={tol}", "--points", "4"], capsys)
-    assert err == f"hyposc: error: unrecognized arguments: --tol={tol}"
+    assert err == f"hyposc verify: error: unrecognized arguments: --tol={tol}"
 
 
 @pytest.mark.parametrize("suite", ["so22", "appendix_a", "identities", "all"])
 def test_verify_tol_is_an_unknown_argument(suite, capsys):
     err = _usage_error(["verify", suite, "--points", "4", "--tol", "1e-3"], capsys)
-    assert err == "hyposc: error: unrecognized arguments: --tol 1e-3"
+    assert err == "hyposc verify: error: unrecognized arguments: --tol 1e-3"
 
 
 def test_verify_identities_rejects_tolerance(capsys):
     err = _usage_error(["verify", "identities", "--points", "50", "--tol", "1e-300"], capsys)
-    assert err == "hyposc: error: unrecognized arguments: --tol 1e-300"
+    assert err == "hyposc verify: error: unrecognized arguments: --tol 1e-300"
+
+
+def test_unknown_option_is_reported_with_the_subcommand_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "0.4", "0.25", "--bogus"])
+    assert exc.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0].startswith("usage: hyposc classify ")
+    assert captured.err.splitlines()[-1] == "hyposc classify: error: unrecognized arguments: --bogus"
 
 
 @pytest.mark.parametrize("suite", ["so22", "appendix_a", "identities", "all"])

@@ -81,7 +81,7 @@ def test_hamiltonian_at_pole(params):
 def _eom(st, params):
     """(dq1, dq2, dphi, dp1, dp2, dpphi) of the oscillator at a chart state."""
     y = np.array([st.point.q1, st.point.q2, st.point.phi, st.p1, st.p2, st.pphi])
-    return _chart_rhs(st.point.chart.is_outer, params, Mode.OSCILLATOR)(0.0, y)
+    return _chart_rhs(params, Mode.OSCILLATOR)(0.0, y)
 
 
 def test_eom_radial_reduction(params):
@@ -138,11 +138,8 @@ def test_eom_energy_gradient_consistency(params):
 
 # one state per branch of the chart right-hand side
 _CHART_RHS_STATES = {
-    "outer radial": (True, [0.8, 0.3, 1.1, 0.4, 0.0, 0.0]),
-    "outer angular": (True, [0.8, 0.3, 1.1, 0.4, -0.6, 0.5]),
-    "inner radial": (False, [0.5, 0.7, 2.0, -0.3, 0.0, 0.0]),
-    "inner without p_phi": (False, [0.5, 0.7, 2.0, -0.3, 0.45, 0.0]),
-    "inner with p_phi": (False, [-0.5, 0.7, 2.0, -0.3, 0.45, 0.25]),
+    "outer radial": [0.8, 0.3, 1.1, 0.4, 0.0, 0.0],
+    "outer angular": [0.8, 0.3, 1.1, 0.4, -0.6, 0.5],
 }
 _AMBIENT_Y = [1.3, 0.4, 0.6, 0.5, 0.2, -0.1, 0.3, 0.7]
 
@@ -159,8 +156,8 @@ def _scalar_reference(rhs, y):
 @pytest.mark.parametrize("mode", [Mode.OSCILLATOR, Mode.FREE])
 @pytest.mark.parametrize("branch", sorted(_CHART_RHS_STATES))
 def test_chart_rhs_on_floats_matches_numpy_scalars(branch, mode):
-    is_outer, y = _CHART_RHS_STATES[branch]
-    rhs = dyn._chart_rhs(is_outer, ModelParams(2.0, 0.5), mode)
+    y = _CHART_RHS_STATES[branch]
+    rhs = dyn._chart_rhs(ModelParams(2.0, 0.5), mode)
     expected = _scalar_reference(rhs, y)
     for arg in (np.array(y), list(y)):
         out = rhs(0.0, arg)
@@ -180,11 +177,11 @@ def test_ambient_rhs_on_floats_matches_numpy_scalars(mode):
 
 @pytest.mark.parametrize("rhs, y", [
     (dyn._ambient_rhs(ModelParams(), Mode.OSCILLATOR), [0.0] + _AMBIENT_Y[1:]),
-    (dyn._chart_rhs(False, ModelParams(), Mode.OSCILLATOR), [0.5, 0.0, 2.0, -0.3, 0.45, 0.25]),
+    (dyn._chart_rhs(ModelParams(), Mode.OSCILLATOR), [0.0, 0.7, 2.0, -0.3, 0.45, 0.25]),
 ])
 def test_rhs_division_by_zero_gives_inf_and_nan(rhs, y):
-    # z0 = 0 (ambient) and mu = 0 with p_phi != 0 (inner chart) divide by
-    # zero: numpy scalars give inf and nan there, and so must the fast path
+    # z0 = 0 (ambient) and r = 0 with p2 != 0 (outer chart) divide by zero:
+    # numpy scalars give inf and nan there, and so must the fast path
     with np.errstate(divide="ignore", invalid="ignore"):
         out = rhs(0.0, np.array(y))
         expected = _scalar_reference(rhs, y)
@@ -194,7 +191,7 @@ def test_rhs_division_by_zero_gives_inf_and_nan(rhs, y):
 
 def test_rhs_overflow_still_raises():
     # cosh(300)**3 is out of range for a float on both paths
-    rhs = dyn._chart_rhs(True, ModelParams(), Mode.OSCILLATOR)
+    rhs = dyn._chart_rhs(ModelParams(), Mode.OSCILLATOR)
     for arg in (np.array([300.0, 0.0, 0.0, 0.1, 0.0, 0.0]), [300.0, 0.0, 0.0, 0.1, 0.0, 0.0]):
         with pytest.raises(OverflowError):
             rhs(0.0, arg)
@@ -293,6 +290,28 @@ def test_circular_orbit_logs_period_closures(params):
                         rtol=1e-12)
 
 
+def test_inner_turn_guard_reads_the_radial_force(params):
+    # at rest in Free mode the centrifugal force of p2 = 1e-300 underflows to
+    # 0: no turning events are tracked, so none is logged near t = 0
+    st = PhaseState(ChartPoint(ChartId.INNER_PLUS, 0.5, 0.7, 2.0), 0.0, 1e-300, 0.0)
+    traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 2.0)), Mode.FREE)
+    assert traj.events == ()
+    # the oscillator force of a state at rest is tracked: one apocenter
+    st = PhaseState(ChartPoint(ChartId.INNER_MINUS, 0.5, 0.7, 0.0), 0.0, 0.0, 0.0)
+    traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 2.0)))
+    assert [(e.kind, e.detail) for e in traj.events] == [
+        (EventKind.RADIAL_TURNING_POINT, "apocenter")]
+
+
+def test_inner_circular_fallback_reads_the_azimuthal_rate(params):
+    # p_chi stays at zero up to rounding, so the period is pi over the first
+    # sample's phidot = p_phi/(R^2 sin^2 chi sinh^2 mu)
+    st = PhaseState(ChartPoint(ChartId.INNER_PLUS, 0.01, 0.01, 0.0), 0.0, 0.0, 1e-12)
+    traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 4e4)), Mode.FREE)
+    expected = math.pi * math.sin(0.01) ** 2 * math.sinh(0.01) ** 2 / 1e-12
+    npt.assert_allclose(measure_period(traj), expected, rtol=1e-12)
+
+
 def test_unbounded_has_no_period(params):
     st = canonical_state(0.6, 0.25, params)
     traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 12.0)))
@@ -330,7 +349,7 @@ def test_chart_turning_events_match_solve_ivp(case_a, params):
         return y[3]
 
     y0 = [st.point.q1, st.point.q2, st.point.phi, st.p1, st.p2, st.pphi]
-    ref = solve_ivp(dyn._chart_rhs(True, params, Mode.OSCILLATOR), cfg.t_span, y0,
+    ref = solve_ivp(dyn._chart_rhs(params, Mode.OSCILLATOR), cfg.t_span, y0,
                     method="DOP853", rtol=dyn.REL_TOL, atol=dyn.ABS_TOL,
                     dense_output=True, events=[turn])
     expected = [t for t in ref.t_events[0] if t > 1e-12]
