@@ -22,8 +22,8 @@ _EXPORTS = {
     ),
     "geometry": (
         "ChartPoint", "EmbeddingPhase", "EmbeddingPoint", "PhaseState", "beltrami",
-        "chart_select", "chart_transition", "constraint_residual", "embed",
-        "momentum_lift", "momentum_project", "phase_transition", "unembed",
+        "chart_select", "constraint_residual", "embed", "momentum_lift",
+        "momentum_project", "unembed",
     ),
     "invariants": (
         "GeneratorSet", "InvariantSet", "check_identities", "evaluate_invariants",

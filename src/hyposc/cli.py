@@ -26,10 +26,9 @@ if TYPE_CHECKING:
 
 # Each command imports the modules it runs inside its cmd_* function, so that
 # `classify` loads no numpy, `verify` no integrator and `simulate`/`figure` no
-# bracket sweeps.  The names below resolve on first access (PEP 562), and the
-# commands call them through `_attr`, as this module holds them at call time,
-# so that a wrapper set on this module applies.  The single-state views are
-# resolved here for bench/tracer.py, which wraps them.
+# bracket sweeps.  The names below resolve on first access (PEP 562) for
+# bench/tracer.py only, which looks them up here to wrap them; the commands
+# call these functions through their home modules.
 _LAZY = {
     "integrate": "dynamics",
     "verify_so22": "poisson",
@@ -47,11 +46,6 @@ def __getattr__(name):
     value = getattr(importlib.import_module(f".{module}", __package__), name)
     globals()[name] = value
     return value
-
-
-def _attr(name: str):
-    """This module's attribute ``name`` as it is now, imported on first use."""
-    return globals()[name] if name in globals() else __getattr__(name)
 
 
 EXIT_OK = 0
@@ -318,12 +312,12 @@ def _report_dict(cfg: RunConfig, traj: Trajectory, files: dict) -> dict:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
-    from .dynamics import IntegrationError
+    from . import dynamics
     from .files import atomic_write_text
 
     try:
-        traj = _attr("integrate")(cfg.initial, cfg.params, cfg.integration, mode=cfg.mode)
-    except IntegrationError as exc:
+        traj = dynamics.integrate(cfg.initial, cfg.params, cfg.integration, mode=cfg.mode)
+    except dynamics.IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     files = {spec.kind: spec.path for spec in cfg.outputs}  # config-relative names
@@ -439,6 +433,7 @@ def cmd_verify(suite: str, seed: int, n_points: Optional[int], out_dir: Optional
         raise ConfigError(f"--points must be >= 1, got {n_points}")
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
+    from . import poisson
     from .files import atomic_write_text
 
     params = ModelParams()
@@ -448,9 +443,10 @@ def cmd_verify(suite: str, seed: int, n_points: Optional[int], out_dir: Optional
     if n_points is not None:
         kwargs["n_points"] = n_points
     try:
-        for name, sweep in (("so22", "verify_so22"), ("appendix_a", "verify_df_algebra")):
+        for name, sweep in (("so22", poisson.verify_so22),
+                            ("appendix_a", poisson.verify_df_algebra)):
             if suite in (name, "all"):
-                rep = _attr(sweep)(params, **kwargs)
+                rep = sweep(params, **kwargs)
                 print(rep.table())
                 reports.append((name, rep.passed, rep.as_dict()))
         if suite in ("identities", "all"):

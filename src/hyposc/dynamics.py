@@ -30,7 +30,7 @@ the state onto the shell z.z = R^2 in place about once per dynamical time
 (dt_proj) and keeps stepping: the step size and controller state carry
 over, so there is no restart (the projection method of Hairer-Lubich-Wanner,
 Geometric Numerical Integration, IV.4).  An ambient run is aborted at the
-first accepted step whose |z.z - R^2| exceeds CONSTRAINT_ABORT R^2.
+first accepted step whose |z.z - R^2| exceeds CONSTRAINT_RTOL R^2.
 Samples are taken at the accepted steps, before any projection; events
 (chart crossings, radial turning points, period closures) are
 root-polished by brentq on the step's dense output to ~1e-12.
@@ -59,6 +59,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .geometry import (
+    CONSTRAINT_RTOL,
     TWO_PI,
     ChartId,
     ChartPoint,
@@ -90,8 +91,7 @@ def __getattr__(name):
 
 
 CLOSURE_TOL = 1e-6
-CONSTRAINT_ABORT = 1e-8
-# the stepper's tolerances, the only ones CLOSURE_TOL and CONSTRAINT_ABORT are sized at
+# the stepper's tolerances, the only ones CLOSURE_TOL and CONSTRAINT_RTOL are sized at
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
 # chart runs need L^2 > 2 R^2 H S_BAND, which keeps sinh^2 r above S_BAND
@@ -333,13 +333,13 @@ def phase_distance(a: np.ndarray, b: np.ndarray, radius: float) -> float:
 
 
 def _check_drift(t, y8: np.ndarray, radius: float):
-    """Raise IntegrationError when |z.z - R^2| exceeds CONSTRAINT_ABORT R^2."""
+    """Raise IntegrationError when |z.z - R^2| exceeds CONSTRAINT_RTOL R^2."""
     R2 = radius * radius
     quad = y8[0] ** 2 + y8[1] ** 2 - y8[2] ** 2 - y8[3] ** 2
     drift = abs(quad - R2)
-    if drift > CONSTRAINT_ABORT * R2:
+    if drift > CONSTRAINT_RTOL * R2:
         raise IntegrationError(
-            f"constraint drift {drift:.3e} beyond {CONSTRAINT_ABORT:.0e}*R^2 at t={float(t)}"
+            f"constraint drift {drift:.3e} beyond {CONSTRAINT_RTOL:.0e}*R^2 at t={float(t)}"
         )
 
 
@@ -1138,14 +1138,14 @@ def measure_period(traj: Trajectory) -> Optional[float]:
     p1max = np.max(np.abs(traj.column("p1")))
     pscale = max(1.0, np.max(np.abs(traj.column("pphi"))))
     if p1max < 1e-8 * pscale:
-        y = [traj.column(name)[0] for name in ("q1", "q2", "phi", "p1", "p2", "pphi")]
-        if traj.charts[0].is_outer:
-            rate = abs(_chart_rhs(traj.params, traj.mode)(0.0, y)[2])
-        elif y[5] != 0.0:  # the inner phidot = p_phi/(R^2 sin^2 chi sinh^2 mu)
-            sn, shm = math.sin(y[0]), math.sinh(y[1])
-            rate = abs(y[5] / (traj.params.radius**2 * (sn * sn) * (shm * shm)))
-        else:
-            rate = 0.0
+        q1, q2, pphi = (traj.column(name)[0] for name in ("q1", "q2", "pphi"))
+        rate = 0.0
+        if pphi != 0.0:  # phidot = p_phi/(R^2 a^2 b^2)
+            if traj.charts[0].is_outer:
+                a, b = math.sinh(q1), math.cosh(q2)  # sinh r, cosh tau
+            else:
+                a, b = math.sin(q1), math.sinh(q2)  # sin chi, sinh mu
+            rate = abs(pphi / (traj.params.radius**2 * (a * a) * (b * b)))
         window = traj.times[-1] - traj.times[0]
         if rate > 0.0 and window * rate >= math.pi:
             return math.pi / rate

@@ -43,8 +43,8 @@ from .regimes import ChartId, ModelParams
 
 TWO_PI = 2.0 * math.pi
 
-# relative tolerance on |z.z - R^2| accepted by chart_select / unembed
-# (matches the integrator's abort threshold, not the embed guarantee)
+# relative tolerance on |z.z - R^2| accepted by chart_select / unembed, and the
+# drift beyond which the integrator aborts an ambient run (not the embed guarantee)
 CONSTRAINT_RTOL = 1e-8
 
 EPS = float(np.finfo(float).eps)
@@ -231,27 +231,6 @@ def beltrami(z: EmbeddingPoint, params: ModelParams):
     return (k * z.z1, k * z.z2, k * z.z3)
 
 
-def chart_transition(point: ChartPoint, params: ModelParams) -> ChartPoint:
-    """Re-express a point in the opposite chart family when it lies there.
-
-    Realized entirely through the real ambient embedding: embed, pick the
-    target chart, unembed.  The opposite family only exists for points with
-    |z0| on its side of R (boundary included), so away from the boundary
-    the canonical representation is returned unchanged.
-    """
-    z = embed(point, params)
-    R = params.radius
-    on_opposite = abs(z.z0) <= R if point.chart.is_outer else abs(z.z0) >= R
-    if on_opposite:
-        if point.chart.is_outer:
-            target = ChartId.INNER_PLUS if z.z0 >= 0.0 else ChartId.INNER_MINUS
-        else:
-            target = ChartId.OUTER_PLUS if z.z0 >= 0.0 else ChartId.OUTER_MINUS
-    else:
-        target = chart_select(z, params)
-    return unembed(z, target, params)
-
-
 # ---------------------------------------------------------------------------
 # momentum maps
 # ---------------------------------------------------------------------------
@@ -316,12 +295,6 @@ def momentum_lift(state: PhaseState, params: ModelParams) -> EmbeddingPhase:
     return EmbeddingPhase(EmbeddingPoint(z0, z1, z2, z3), p0, p1, p2, p3)
 
 
-def tangency_residual(ph: EmbeddingPhase) -> float:
-    """sum_mu z^mu p_mu (zero for momenta tangent to the hyperboloid)."""
-    z = ph.z
-    return z.z0 * ph.p0 + z.z1 * ph.p1 + z.z2 * ph.p2 + z.z3 * ph.p3
-
-
 def chart_jacobian(point: ChartPoint, params: ModelParams) -> np.ndarray:
     """4x3 Jacobian dz^mu / dq^i at a chart point."""
     R = params.radius
@@ -358,8 +331,3 @@ def momentum_project(
     p_chart = chart_jacobian(point, params).T @ ph.momentum_array
     return PhaseState(point, p_chart[0], p_chart[1], p_chart[2])
 
-
-def phase_transition(state: PhaseState, params: ModelParams) -> PhaseState:
-    """Full phase-space chart change through the ambient representation."""
-    ph = momentum_lift(state, params)
-    return momentum_project(ph, chart_select(ph.z, params), params)

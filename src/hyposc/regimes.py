@@ -147,6 +147,14 @@ def period_formula(e: float, params: ModelParams) -> float:
     return math.pi / (params.omega * math.sqrt(1.0 - 2.0 * e / w2r2))
 
 
+_BOUNDED = (
+    RadialRegime.BOUNDED_GENERIC,
+    RadialRegime.CIRCULAR,
+    RadialRegime.NEG_L2_BOUNDED,
+    RadialRegime.ZERO_L2_BOUNDED,
+)
+
+
 def turning_radii(e: float, l_sq: float, params: ModelParams):
     """(r_min, r_max) from the turning roots; entries are None when absent.
 
@@ -166,13 +174,7 @@ def turning_radii(e: float, l_sq: float, params: ModelParams):
         r_min = 0.0
     if 0.0 < x2 < 1.0:
         r_max = math.atanh(math.sqrt(x2))
-    if cls_regime in (
-        RadialRegime.UNBOUNDED_GENERIC,
-        RadialRegime.THRESHOLD,
-        RadialRegime.REPULSIVE_L2,
-        RadialRegime.ZERO_L2_UNBOUNDED,
-        RadialRegime.NEG_L2_UNBOUNDED,
-    ):
+    if cls_regime not in _BOUNDED:
         r_max = None
     return (r_min, r_max)
 
@@ -193,7 +195,7 @@ def inner_turning_angle(e: float, l_sq: float, params: ModelParams) -> float:
 def _l2_sign(l_sq: float, w2r4: float) -> int:
     """-1, 0 or +1: the sign of L^2, zero inside its classification band."""
     bl = CLASS_BAND * max(1.0, abs(l_sq), w2r4)
-    return (l_sq > bl) - (l_sq < -bl)
+    return int(l_sq > bl) - int(l_sq < -bl)
 
 
 def _regime_only(e: float, l_sq: float, params: ModelParams) -> RadialRegime:
@@ -232,14 +234,6 @@ def _regime_only(e: float, l_sq: float, params: ModelParams) -> RadialRegime:
         return RadialRegime.UNBOUNDED_GENERIC
     # repulsive branch: U_eff decreases monotonically to omega^2 R^2 / 2
     return RadialRegime.REPULSIVE_L2 if e > half + be else RadialRegime.FORBIDDEN
-
-
-_BOUNDED = (
-    RadialRegime.BOUNDED_GENERIC,
-    RadialRegime.CIRCULAR,
-    RadialRegime.NEG_L2_BOUNDED,
-    RadialRegime.ZERO_L2_BOUNDED,
-)
 
 
 def classify(e: float, l_sq: float, params: ModelParams) -> OrbitClassification:

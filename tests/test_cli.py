@@ -557,7 +557,7 @@ def test_simulate_numeric_failure(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise IntegrationError("constraint drift exceeded budget")
 
-    monkeypatch.setattr(cli, "integrate", boom)
+    monkeypatch.setattr(dynamics, "integrate", boom)
     cfg_path = _write_config(tmp_path, _base_config())
     assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "y")]) == EXIT_NUMERIC
     assert "constraint drift" in capsys.readouterr().err
@@ -808,6 +808,31 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_records_each_command_call_once(tmp_path):
+    # the commands call integrate and the sweeps through their home modules, so
+    # the tracer's wrapper there is the one entered, and entered once per call
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    bench = os.path.join(os.path.dirname(src), "bench")
+    cfg_path = _write_config(tmp_path, _base_config())
+    trace = str(tmp_path / "trace.json")
+    code = (
+        f"import json, sys; sys.path.insert(0, {bench!r}); import tracer\n"
+        "t = tracer.Tracer(); t.install()\n"
+        "import hyposc.cli as cli\n"
+        f"cli.main(['simulate', '--config', {cfg_path!r}, '--out', {str(tmp_path / 'run')!r}])\n"
+        "cli.main(['verify', 'so22', '--points', '4'])\n"
+        f"json.dump(t.snapshot()['spans'], open({trace!r}, 'w'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    with open(trace) as fh:
+        spans = {(name, parent): calls for name, parent, calls, _, _ in json.load(fh)}
+    for name in ("dynamics.integrate", "poisson.so22"):
+        assert spans.get((name, "cli.main")) == 1, spans
+        assert (name, name) not in spans, spans
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,16 @@ def test_inner_circular_fallback_reads_the_azimuthal_rate(params):
     npt.assert_allclose(measure_period(traj), expected, rtol=1e-12)
 
 
+def test_outer_circular_fallback_reads_the_azimuthal_rate(params):
+    # r stays at 0.9 (p_r within 4e-12 of zero) while tau moves, so the period
+    # is pi over the first sample's phidot = p_phi/(R^2 sinh^2 r cosh^2 tau)
+    pphi = math.cosh(0.3) * math.tanh(0.9) ** 2
+    st = PhaseState(ChartPoint(ChartId.OUTER_PLUS, 0.9, 0.3, 0.0), 0.0, 0.0, pphi)
+    traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 8.0)))
+    assert traj.chart is ChartId.OUTER_PLUS and traj.events == ()
+    assert measure_period(traj) == 6.74452804220551
+
+
 def test_unbounded_has_no_period(params):
     st = canonical_state(0.6, 0.25, params)
     traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 12.0)))

@@ -13,13 +13,10 @@ from hyposc.geometry import (
     beltrami,
     chart_jacobian,
     chart_select,
-    chart_transition,
     constraint_residual,
     embed,
     momentum_lift,
     momentum_project,
-    phase_transition,
-    tangency_residual,
     unembed,
 )
 from hyposc.invariants import generators
@@ -222,7 +219,8 @@ def test_momentum_lift_tangency(params):
         st = PhaseState(pt, *rng.uniform(-2.0, 2.0, size=3))
         ph = momentum_lift(st, params)
         scale = max(1.0, max(abs(st.p1), abs(st.p2), abs(st.pphi)))
-        assert abs(tangency_residual(ph)) < 1e-12 * scale
+        z = ph.z
+        assert abs(z.z0 * ph.p0 + z.z1 * ph.p1 + z.z2 * ph.p2 + z.z3 * ph.p3) < 1e-12 * scale
 
 
 def test_momentum_project_round_trip(params):
@@ -267,28 +265,10 @@ def test_beltrami_undefined_on_cone(params):
         beltrami(EmbeddingPoint(0.0, 1.0, 1.0, 1.0), params)
 
 
-def test_chart_transition_at_boundary(params):
-    # outer pole |z0| = R maps to the inner boundary chi = 0
-    tr = chart_transition(ChartPoint(ChartId.OUTER_PLUS, 0.0, 0.7, 1.1), params)
-    assert tr.chart == ChartId.INNER_PLUS
-    assert (tr.q1, tr.q2, tr.phi) == (0.0, 0.0, 0.0)
-    back = chart_transition(ChartPoint(ChartId.INNER_PLUS, 0.0, 0.4, 0.2), params)
-    assert back.chart == ChartId.OUTER_PLUS
-    assert back.q1 == 0.0
-
-
-def test_chart_transition_interior_identity(params):
-    pt = ChartPoint(ChartId.INNER_PLUS, math.pi / 4, 0.0, 0.0)
-    assert chart_transition(pt, params) == pt
-    pto = ChartPoint(ChartId.OUTER_PLUS, 1.0, 0.3, 0.4)
-    moved = chart_transition(pto, params)
-    assert moved.chart == pto.chart
-    npt.assert_allclose((moved.q1, moved.q2, moved.phi), (1.0, 0.3, 0.4), rtol=1e-12)
-
-
 def test_phase_transition_preserves_generators(params):
     st = PhaseState(ChartPoint(ChartId.INNER_PLUS, 0.9, 0.4, 1.0), 0.3, -0.2, 0.5)
-    moved = phase_transition(st, params)
+    ph = momentum_lift(st, params)
+    moved = momentum_project(ph, chart_select(ph.z, params), params)
     g0 = generators(st, params)
     g1 = generators(moved, params)
     npt.assert_allclose(g1.l + g1.n, g0.l + g0.n, rtol=1e-12, atol=1e-12)

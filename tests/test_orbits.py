@@ -313,6 +313,26 @@ def test_classify_table(e, l_sq, regime, carrier, params):
     assert oc.carrier == carrier
 
 
+@pytest.mark.parametrize("omega, radius", [(1.0, 1.0), (2.0, 0.5), (0.5, 3.0)])
+def test_classify_takes_numpy_scalars(omega, radius):
+    p = ModelParams(omega, radius)
+    for e, l_sq, regime, _ in CLASSIFY_TABLE:
+        e, l_sq = e * omega**2 * radius**2, l_sq * omega**2 * radius**4
+        oc = classify(e, l_sq, p)
+        assert oc.regime == regime
+        assert classify(np.float64(e), np.float64(l_sq), p) == oc
+        if regime != RadialRegime.FORBIDDEN:
+            assert canonical_state(np.float64(e), np.float64(l_sq), p) == canonical_state(e, l_sq, p)
+
+
+def test_turning_radii_r_max_only_when_bounded(params):
+    bounded = (RadialRegime.BOUNDED_GENERIC, RadialRegime.CIRCULAR,
+               RadialRegime.NEG_L2_BOUNDED, RadialRegime.ZERO_L2_BOUNDED)
+    for e, l_sq, regime, _ in CLASSIFY_TABLE:
+        r_max = turning_radii(e, l_sq, params)[1]
+        assert (r_max is None) == (regime not in bounded), regime
+
+
 def test_classify_periods_and_radii(params):
     oc = classify(0.4, 0.25, params)
     npt.assert_allclose(oc.period, math.pi / math.sqrt(0.2), rtol=1e-12)
