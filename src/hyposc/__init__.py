@@ -21,13 +21,11 @@ _EXPORTS = {
         "period_formula", "radial_roots", "turning_radii",
     ),
     "geometry": (
-        "ChartPoint", "EmbeddingPhase", "EmbeddingPoint", "PhaseState", "beltrami",
-        "chart_select", "constraint_residual", "embed", "momentum_lift",
-        "momentum_project", "unembed",
+        "ChartPoint", "EmbeddingPhase", "EmbeddingPoint", "PhaseState", "chart_select",
+        "constraint_residual", "embed", "momentum_lift", "momentum_project", "unembed",
     ),
     "invariants": (
-        "GeneratorSet", "InvariantSet", "check_identities", "evaluate_invariants",
-        "generators", "l_squared",
+        "GeneratorSet", "InvariantSet", "check_identities", "evaluate_invariants", "l_squared",
     ),
     "dynamics": (
         "Event", "EventKind", "IntegrationConfig", "IntegrationError", "Mode",
@@ -38,8 +36,7 @@ _EXPORTS = {
         "export_figures", "radial_solution", "time_of_flight", "trajectory_negative_l2",
     ),
     "poisson": (
-        "BracketCheck", "BracketReport", "bracket", "sample_states", "verify_df_algebra",
-        "verify_so22",
+        "BracketCheck", "BracketReport", "sample_states", "verify_df_algebra", "verify_so22",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -100,6 +100,9 @@ S_BAND = 2e-5
 # runs measured 2-8 steps per dynamical time at REL_TOL and ABS_TOL, so the
 # limit is a few million steps; a huge momentum (p1 = 1e154) would step forever
 MAX_DYNAMICAL_TIMES = 1e6
+# step attempts, accepted or rejected, after which solve_stretch gives up: over
+# 100 times the most any test or benchmark run takes (355), 5-6 s of stepping
+MAX_STEPS = 50_000
 
 
 class Mode(Enum):
@@ -753,7 +756,8 @@ def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, project=None,
     the start).  The first-same-as-last stage is recomputed from the
     projected state and the step size is kept, so stepping carries on
     without a restart.  Recorded samples and interpolants are those of the
-    unprojected steps.
+    unprojected steps.  The run fails (status -1) when a step size is too
+    small or not finite, or after MAX_STEPS step attempts.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
@@ -773,6 +777,7 @@ def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, project=None,
     t_last_proj = t
     status = None
     message = ""
+    attempts = 0
     while status is None:
         # one step: shrink until the error estimate is below 1
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -783,6 +788,10 @@ def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, project=None,
             if not h_abs >= min_step:  # a NaN step fails every comparison
                 status, message = -1, TOO_SMALL_STEP if h_abs < min_step else NONFINITE_STEP
                 break
+            if attempts >= MAX_STEPS:
+                status, message = -1, f"step budget of {MAX_STEPS} attempts exhausted at t={t}"
+                break
+            attempts += 1
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = np.abs(h)
@@ -1080,9 +1089,16 @@ def integrate(
         rows.append((t_i, *q, *y8))
     head = np.array(rows).T
     y8 = head[_ROW["z0"]:]
-    h, _, gens, d = invariant_coords(y8[:4], y8[4:], params, mode.value)
-    table = np.vstack([head, h, *gens.n, *gens.l, gens.l_squared(), gens.casimir1(),
-                       gens.casimir2(), *d])
+    # products such as N_i N_k in D may overflow at huge R; such a table is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, _, gens, d = invariant_coords(y8[:4], y8[4:], params, mode.value)
+        table = np.vstack([head, h, *gens.n, *gens.l, gens.l_squared(), gens.casimir1(),
+                           gens.casimir2(), *d])
+    bad = np.argwhere(~np.isfinite(table))  # row-major: first column, then first sample
+    if bad.size:
+        row, col = bad[0]
+        t_bad = table[0, col]
+        raise IntegrationError(f"non-finite {COLUMNS[row]} in the sample table at t={t_bad}")
     table.flags.writeable = False
 
     # ---- period-closure pass ---------------------------------------------

@@ -223,14 +223,6 @@ def unembed(z: EmbeddingPoint, chart: ChartId, params: ModelParams) -> ChartPoin
     return ChartPoint(chart, chi, mu, phi)
 
 
-def beltrami(z: EmbeddingPoint, params: ModelParams):
-    """Projective coordinates x_i = R z_i / z0 (conics become plane quadrics)."""
-    if z.z0 == 0.0:
-        raise ValueError("Beltrami projection undefined at z0 = 0")
-    k = params.radius / z.z0
-    return (k * z.z1, k * z.z2, k * z.z3)
-
-
 # ---------------------------------------------------------------------------
 # momentum maps
 # ---------------------------------------------------------------------------

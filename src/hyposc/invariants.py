@@ -23,7 +23,7 @@ All of it is computed by one array kernel (`ambient_generators`,
 `df_components`, `invariant_coords`, `identity_residuals`) whose arguments
 may be floats, (N,) arrays with one entry per state, or duals.
 `evaluate_invariants` and `check_identities` are its single-state view, and
-`generators` and `l_squared` the closed chart forms it is checked against.
+`l_squared` the closed chart form of L^2.
 """
 
 import math
@@ -34,12 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .duals import guarded
-from .geometry import (
-    EmbeddingPhase,
-    ModelParams,
-    PhaseState,
-    momentum_lift,
-)
+from .geometry import EmbeddingPhase, ModelParams, PhaseState
 
 GBAR = (1.0, -1.0, -1.0)  # so(2,1) index metric for N, L 3-vectors
 
@@ -91,42 +86,6 @@ def ambient_generators(z, p) -> tuple:
         -(z2 * p3 - z3 * p2),
         -(z1 * p3 + z3 * p1),
         z1 * p2 + z2 * p1,
-    )
-
-
-def generators(state: PhaseState, params: ModelParams) -> GeneratorSet:
-    """Generators from chart data.
-
-    Outer charts use the closed pseudo-spherical expressions (an independent
-    code path from the ambient bilinears; the two agree to rounding).  Inner
-    charts go through the momentum lift, whose ambient form is chart-agnostic.
-    """
-    pt = state.point
-    if not pt.chart.is_outer:
-        return GeneratorSet(*ambient_generators(*_zp(momentum_lift(state, params))))
-    s = pt.chart.sheet_sign
-    p1, p2, pphi = state.p1, state.p2, state.pphi
-    sht, cht = math.sinh(pt.q2), math.cosh(pt.q2)
-    cp, sp = math.cos(pt.phi), math.sin(pt.phi)
-    tht = sht / cht
-    n1 = -sht * p1
-    n2 = -cht * cp * p1
-    n3 = -cht * sp * p1
-    if p2 != 0.0 or pphi != 0.0:
-        sh, ch = math.sinh(pt.q1), math.cosh(pt.q1)
-        if sh == 0.0:
-            raise ValueError("angular momenta at r = 0")
-        cothr = ch / sh
-        n1 = n1 + cht * cothr * p2
-        n2 = n2 + cothr * sht * cp * p2 + cothr * sp * pphi / cht
-        n3 = n3 + cothr * sht * sp * p2 - cothr * cp * pphi / cht
-    return GeneratorSet(
-        n1=s * n1,
-        n2=s * n2,
-        n3=s * n3,
-        l1=-pphi,
-        l2=-sp * p2 - tht * cp * pphi,
-        l3=cp * p2 - tht * sp * pphi,
     )
 
 
@@ -238,10 +197,6 @@ class IdentityCheck:
 @dataclass(frozen=True)
 class IdentityReport:
     checks: tuple
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.passed is not None)
 
 
 # (name, tolerance relative to the state's scale); None = recorded only.

@@ -13,9 +13,6 @@ tangents of phi, p1, p2 and pphi together; it gives the same bits as one
 pass per coordinate because no denominator depends on phi or the momenta
 (see `_gradient_table`).  Derivatives are exact to roundoff either way.
 
-`bracket` takes two observable names (generators, Lt1-Lt3, D11-D33, H_free,
-H_osc, L_sq or a coordinate) and one state, the N = 1 case of the kernel.
-
 Convention note: the sweep of the tensor algebra states its relations in the
 angular-momentum sign convention fixed by L1 = +p_phi on the outer chart
 (observables Lt1, Lt2, Lt3 = -l1, l2, -l3 relative to the ambient bilinears).
@@ -38,9 +35,8 @@ from .duals import Dual
 from .geometry import TWO_PI, ChartId, ChartPoint, ModelParams, PhaseState, lift_coords
 # the single-state view, kept reachable here (bench/tracer.py wraps it)
 from .geometry import momentum_lift  # noqa: F401
-from .invariants import ambient_generators, df_components, invariant_coords
+from .invariants import ambient_generators, df_components
 
-COORD_NAMES = ("q1", "q2", "phi", "p1", "p2", "pphi")
 # Step factor for the 4th-order stencil, h = FD_STEP * max(1, |x|).  The
 # eps^(1/5) heuristic puts the roundoff/truncation crossover near 7e-4 for
 # O(1) functions; the quartic observables here grow like e^(4 q1) across the
@@ -62,34 +58,14 @@ FITTED_TOL = 1e-9
 # observables
 
 
-def _library_values(chart: ChartId, coords, params: ModelParams) -> dict:
-    """Every named observable, the coordinates included, from one ambient lift.
-
-    ``coords`` = (q1, q2, phi, p1, p2, pphi), floats or (N,) arrays with one
-    entry per state, any of them possibly dual.
-    """
-    y = lift_coords(chart, coords, params.radius)
-    h_osc, h_free, g, d = invariant_coords(y[:4], y[4:], params)
-    out = {
-        "L1": g.l1, "L2": g.l2, "L3": g.l3,
-        "N1": g.n1, "N2": g.n2, "N3": g.n3,
-        "Lt1": -g.l1, "Lt2": g.l2, "Lt3": -g.l3,
-        "H_free": h_free, "H_osc": h_osc,
-        "L_sq": g.l_squared(),
-    }
-    out.update(zip(("D11", "D12", "D13", "D22", "D23", "D33"), d))
-    out.update(zip(COORD_NAMES, coords))
-    return out
-
-
 def _generator_values(chart: ChartId, coords, params: ModelParams) -> dict:
-    """The six so(2,2) generators alone, as `_library_values` computes them."""
+    """The six so(2,2) generators, from one ambient lift."""
     y = lift_coords(chart, coords, params.radius)
     return dict(zip(("N1", "N2", "N3", "L1", "L2", "L3"), ambient_generators(y[:4], y[4:])))
 
 
 def _tensor_values(chart: ChartId, coords, params: ModelParams) -> dict:
-    """Lt1-Lt3 and D11-D33 alone, as `_library_values` computes them."""
+    """Lt1-Lt3 and D11-D33, from one ambient lift."""
     y = lift_coords(chart, coords, params.radius)
     n1, n2, n3, l1, l2, l3 = ambient_generators(y[:4], y[4:])
     out = {"Lt1": -l1, "Lt2": l2, "Lt3": -l3}
@@ -190,25 +166,6 @@ class _Rows:
 
     def __getitem__(self, c):
         return self.comps[c][self.index]
-
-
-def bracket(f: str, g: str, state: PhaseState, params: ModelParams,
-            backend: str = "dual") -> float:
-    """Canonical bracket {f, g} of two `_library_values` names at one state.
-
-    The N = 1 case of the sweeps: one gradient table over `_library_values`,
-    its rows f and g paired by `_symplectic_pair`.
-    """
-    pt = state.point
-    coords = [float(c) for c in (pt.q1, pt.q2, pt.phi, state.p1, state.p2, state.pphi)]
-    table = _gradient_table(lambda c: _library_values(pt.chart, c, params), coords, backend)
-    for name in (f, g):
-        if name not in table:
-            raise ValueError(f"unknown observable {name!r} (known: {', '.join(table)})")
-    val = float(_symplectic_pair(table[f], table[g]))
-    if not math.isfinite(val):
-        raise ValueError(f"non-finite derivative in {{{f}, {g}}} (singular observable at state)")
-    return val
 
 
 # --------------------------------------------------------------------------

@@ -235,7 +235,7 @@ def test_criterion_05_radial_closed_forms(case_a, neg_l2_traj, params):
 
 
 def test_criterion_06_conic_orbit_geometry(case_a, params):
-    from hyposc.geometry import beltrami
+    from oracles import beltrami
 
     conic = orbit_conic(case_a["e"], case_a["l_sq"], params)
     b2, a2 = conic.b_sq, conic.a_sq

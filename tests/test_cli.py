@@ -297,6 +297,32 @@ def test_simulate_nan_first_step_is_a_numeric_error(tmp_path, capsys, monkeypatc
     assert len(calls) <= 2
 
 
+def test_simulate_beyond_the_step_budget_is_a_numeric_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 40)
+    code, err = _simulate_exit(tmp_path, capsys, _base_config())
+    assert code == EXIT_NUMERIC and err.count("\n") == 1, err
+    assert err.startswith("integration failed: chart integration failed: step budget of 40 "
+                          "attempts exhausted at t="), err
+    assert not (tmp_path / "x").exists()
+
+
+def test_simulate_with_overflowing_invariants_is_a_numeric_error_in_a_fresh_process(tmp_path):
+    # at R = 1e150 the products N_i N_k of D overflow before the division by R^2
+    state = {"chart": "inner_minus", "q1": 0.5, "q2": 0.7, "phi": 0.0,
+             "p1": 0.0, "p2": 0.1, "pphi": 0.3}
+    cfg = _base_config(params={"omega": 1.0, "radius": 1e150}, mode="Free",
+                       initial={"state": state}, integration={"t_span": [0.0, 2.0]})
+    cfg_path = _write_config(tmp_path, cfg)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyposc.cli", "simulate", "--config", cfg_path,
+         "--out", str(tmp_path / "x")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_NUMERIC, proc.stderr
+    assert proc.stderr == "integration failed: non-finite D11 in the sample table at t=0.0\n"
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("state", [
     # cosh(q2)**2 and sinh(q2)**2 in the radial force scale, then ch**3 in
     # the outer chart equations, all evaluated before the first step

@@ -517,6 +517,27 @@ def test_overlong_span_fails_before_stepping(p1, pphi, span, message, params, mo
         integrate(st, params, IntegrationConfig(t_span=(0.0, span)))
 
 
+def test_step_budget_stops_a_bounded_run(params, monkeypatch):
+    # E = 0.4, L^2 = 1/4 (BoundedGeneric) takes about 270 steps over ten periods;
+    # the budget stops it after 40 attempts of 12 RHS calls each (the start and
+    # the dense output at event roots take a few more)
+    calls = []
+    chart_rhs = dyn._chart_rhs
+
+    def counted(*args):
+        rhs = chart_rhs(*args)
+        return lambda t, y: calls.append(t) or rhs(t, y)
+
+    monkeypatch.setattr(dyn, "_chart_rhs", counted)
+    monkeypatch.setattr(dyn, "MAX_STEPS", 40)
+    assert classify(0.4, 0.25, params).regime.value == "BoundedGeneric"
+    st = canonical_state(0.4, 0.25, params)
+    with pytest.raises(IntegrationError, match=r"^chart integration failed: step budget of 40 "
+                                               r"attempts exhausted at t=\d"):
+        integrate(st, params, IntegrationConfig(t_span=(0.0, 100.0)))
+    assert 12 * 40 < len(calls) < 13 * 40
+
+
 def test_project_constraint_rejects_points_off_the_shell():
     y8 = np.array([2.0, 0.0, 1.0, 0.0, 0.1, 0.0, 0.0, 0.0])
     out = dyn._project_constraint(y8, 1.5)

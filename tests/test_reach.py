@@ -32,16 +32,13 @@ ROOT = SRC.parent.parent
 REASONS = ("api", "oracle", "closed_form", "guard")
 
 UNREACHED = {
-    "duals:Dual.__rsub__": ("api", "bracket"),  # _free_hamiltonian's ndarray - Dual
+    "duals:Dual.__rsub__": ("oracle", "_library_values"),  # _free_hamiltonian's ndarray - Dual
     "duals:_fill": "guard",
     "dynamics:Trajectory.ambient_at": "api",
-    "geometry:beltrami": "api",
     "geometry:embed": "api",
-    "invariants:IdentityReport.all_passed": "oracle",
     "invariants:_zp": ("api", "evaluate_invariants"),
     "invariants:check_identities": "api",
     "invariants:evaluate_invariants": "api",
-    "invariants:generators": "oracle",
     "orbits:AngularSolution.__call__": "closed_form",
     "orbits:AngularSolution.residual": "closed_form",
     "orbits:angular_solution": "closed_form",
@@ -49,8 +46,6 @@ UNREACHED = {
     "orbits:half_period_formula": "closed_form",
     "orbits:radial_solution": "closed_form",
     "orbits:zero_l2_orbit": "closed_form",
-    "poisson:_library_values": "oracle",
-    "poisson:bracket": "api",
     "poisson:sample_states": "api",
 }
 
