@@ -123,12 +123,9 @@ def _parse_state(obj, params: ModelParams) -> PhaseState:
     if not all(map(math.isfinite, values)):
         raise ConfigError("initial.state must be finite")
     try:
-        state = PhaseState(ChartPoint(chart, *values[:3]), *values[3:])
-        if not chart.is_outer and values[1] == 0.0 and values[5] != 0.0:  # p_phi / sinh(mu)
-            raise ValueError("azimuthal momentum on the mu = 0 axis")
+        return PhaseState(ChartPoint(chart, *values[:3]), *values[3:])
     except ValueError as exc:
         raise ConfigError(f"bad initial state: {exc}") from exc
-    return state
 
 
 def _parse_analytic(obj, params: ModelParams):

@@ -530,7 +530,7 @@ MAX_FACTOR = 10
 _ERROR_EXPONENT = -1 / 8  # -1/(q + 1) for the 7th-order error estimator
 _EPS = np.finfo(float).eps
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-NONFINITE_STEP = "Step size is not finite: the right-hand side gave a non-finite value."
+NONFINITE_STEP = "Step size is not finite: the right-hand side is not finite at t0."
 
 
 def _rms(x):
@@ -756,8 +756,9 @@ def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, project=None,
     the start).  The first-same-as-last stage is recomputed from the
     projected state and the step size is kept, so stepping carries on
     without a restart.  Recorded samples and interpolants are those of the
-    unprojected steps.  The run fails (status -1) when a step size is too
-    small or not finite, or after MAX_STEPS step attempts.
+    unprojected steps.  The run fails (status -1) when the right-hand side
+    is not finite at t0, when a step size is too small, or after MAX_STEPS
+    step attempts.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
@@ -767,6 +768,9 @@ def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, project=None,
         raise ValueError("All components of the initial state `y0` must be finite.")
     fun = _Rhs(fun)
     f = fun(t, y)
+    if not np.isfinite(f).all():  # no first step size follows from it
+        return Stretch(np.array([t]), y[:, None], DenseSolution([t], []),
+                       [np.empty(0) for _ in events], fun.nfev, -1, NONFINITE_STEP, ())
     h_abs = _initial_step(fun, t, y, t_bound, f, rtol, atol)
 
     tol = 4.0 * _EPS
@@ -786,7 +790,7 @@ def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, project=None,
         step_rejected = False
         while True:
             if not h_abs >= min_step:  # a NaN step fails every comparison
-                status, message = -1, TOO_SMALL_STEP if h_abs < min_step else NONFINITE_STEP
+                status, message = -1, TOO_SMALL_STEP
                 break
             if attempts >= MAX_STEPS:
                 status, message = -1, f"step budget of {MAX_STEPS} attempts exhausted at t={t}"

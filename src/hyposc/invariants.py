@@ -102,8 +102,6 @@ def l_squared(state: PhaseState) -> float:
         return pphi * pphi / (c * c) - p2 * p2
     if pphi != 0.0:
         s = math.sinh(q2)
-        if s == 0.0:
-            raise ValueError("p_phi without sinh(mu): azimuth degenerate at mu = 0")
         return -(p2 * p2 + pphi * pphi / (s * s))
     return -(p2 * p2)
 

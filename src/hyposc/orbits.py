@@ -322,6 +322,9 @@ def trajectory_negative_l2(
         raise ValueError("requires l_sq < 0")
     if pphi != 0.0:
         raise ValueError("closed form covers the reduced pphi = 0 case")
+    regime = _regime_only(e, l_sq, params)
+    if regime == RadialRegime.FORBIDDEN:  # E <= 0 with L^2 in the zero band
+        raise ValueError("no classical motion for this (e, l_sq)")
     al = abs(l_sq)
     c1 = 0.5 - e * params.radius**2 / al
     c2 = math.sqrt(c1 * c1 + params.omega**2 * params.radius**4 / al)
@@ -333,13 +336,11 @@ def trajectory_negative_l2(
     def inner(mu):
         return -c1 + c2 * np.cosh(2.0 * np.asarray(mu, dtype=float) + shift)
 
-    half = 0.5 * params.omega**2 * params.radius**2
-    r_max = None
-    tau_min = None
-    if e < half:
-        r_max = math.atanh(1.0 / math.sqrt(c1 + c2))
-    else:
-        tau_min = -0.5 * shift + 0.5 * math.acosh((0.5 + e * params.radius**2 / al) / c2)
+    if regime in _BOUNDED:
+        r_max, tau_min = math.atanh(1.0 / math.sqrt(c1 + c2)), None
+    else:  # the acosh argument rounds below 1 inside the threshold band
+        arg = (0.5 + e * params.radius**2 / al) / c2
+        r_max, tau_min = None, -0.5 * shift + 0.5 * math.acosh(max(arg, 1.0))
     chi_max = math.atan(1.0 / math.sqrt(-c1 + c2))
     return NegL2Trajectory(outer, inner, r_max, chi_max, tau_min, e, l_sq, beta, c1, c2)
 

@@ -70,7 +70,6 @@ class ConicKind(Enum):
     CIRCLE = "Circle"
     ULTRAELLIPSE = "Ultraellipse"
     EQUIDISTANT = "Equidistant"
-    NONE = "None"
 
 
 class Carrier(Enum):
@@ -120,7 +119,10 @@ def eff_minimum(l_sq: float, params: ModelParams):
 
 
 def radial_roots(e: float, l_sq: float, params: ModelParams):
-    """Roots (x1 <= x2) of the turning quadratic in X = tanh^2 r."""
+    """Roots (x1 <= x2) of the turning quadratic in X = tanh^2 r.  Like every
+    `classify` field they follow the regime: the double root exactly when it
+    is Circular; otherwise no real roots means E is below the minimum."""
+    circular = _regime_only(e, l_sq, params) == RadialRegime.CIRCULAR
     w2r4 = params.omega**2 * params.radius**4
     if w2r4 == 0.0:
         # omega = 0, or omega^2 R^4 below the smallest float: the quadratic
@@ -129,15 +131,9 @@ def radial_roots(e: float, l_sq: float, params: ModelParams):
                          f"{params.omega:g}, R = {params.radius:g}")
     b = 2.0 * params.radius**2 * e + l_sq
     disc = b * b - 4.0 * l_sq * w2r4
-    if disc < 0.0:
-        # energies inside the circular classification band produce a
-        # discriminant of order 4 R^2 |b| * band through rounding alone;
-        # collapse those onto the double root instead of raising
-        band = CLASS_BAND * max(1.0, abs(e), 0.5 * params.omega**2 * params.radius**2)
-        if disc < -4.0 * params.radius**2 * max(1.0, abs(b)) * band:
-            raise ValueError("no real turning structure: energy below the potential minimum")
-        disc = 0.0
-    root = math.sqrt(disc)
+    if disc < 0.0 and not circular:
+        raise ValueError("no real turning structure: energy below the potential minimum")
+    root = 0.0 if circular else math.sqrt(disc)
     return ((b - root) / (2.0 * w2r4), (b + root) / (2.0 * w2r4))
 
 
@@ -156,26 +152,23 @@ _BOUNDED = (
 
 
 def turning_radii(e: float, l_sq: float, params: ModelParams):
-    """(r_min, r_max) from the turning roots; entries are None when absent.
+    """(r_min, r_max) by the regime; entries are None when absent.
 
-    For l_sq < 0 there is no outer minimum (the orbit crosses the cone into
-    the inner chart; see inner_turning_angle) and r_min is None.  Unbounded
-    regimes have r_max = None.
+    r_min is 0.0 in the zero-L^2 band (the orbit passes the pole) and None
+    for L^2 < 0 (the orbit crosses the cone into the inner chart; see
+    inner_turning_angle).  Only bounded regimes have an r_max.
     """
-    cls_regime = _regime_only(e, l_sq, params)
-    if cls_regime == RadialRegime.FORBIDDEN:
+    regime = _regime_only(e, l_sq, params)
+    if regime == RadialRegime.FORBIDDEN:
         return (None, None)
     x1, x2 = radial_roots(e, l_sq, params)
-    r_min = None
-    r_max = None
-    if x1 > 0.0:
-        r_min = math.atanh(math.sqrt(min(x1, 1.0)))
-    elif x1 == 0.0:
+    if regime in (RadialRegime.ZERO_L2_BOUNDED, RadialRegime.ZERO_L2_UNBOUNDED):
         r_min = 0.0
-    if 0.0 < x2 < 1.0:
-        r_max = math.atanh(math.sqrt(x2))
-    if cls_regime not in _BOUNDED:
-        r_max = None
+    elif regime in (RadialRegime.NEG_L2_BOUNDED, RadialRegime.NEG_L2_UNBOUNDED):
+        r_min = None
+    else:
+        r_min = math.atanh(math.sqrt(min(x1, 1.0)))
+    r_max = math.atanh(math.sqrt(x2)) if regime in _BOUNDED else None
     return (r_min, r_max)
 
 
@@ -257,34 +250,35 @@ def classify(e: float, l_sq: float, params: ModelParams) -> OrbitClassification:
 # ---------------------------------------------------------------------------
 
 
+_CONIC_KINDS = {
+    RadialRegime.CIRCULAR: ConicKind.CIRCLE,
+    RadialRegime.BOUNDED_GENERIC: ConicKind.ELLIPSE,
+    RadialRegime.ZERO_L2_BOUNDED: ConicKind.ELLIPSE,
+    RadialRegime.THRESHOLD: ConicKind.EQUIDISTANT,
+    RadialRegime.UNBOUNDED_GENERIC: ConicKind.ULTRAELLIPSE,
+    RadialRegime.REPULSIVE_L2: ConicKind.ULTRAELLIPSE,
+    RadialRegime.ZERO_L2_UNBOUNDED: ConicKind.ULTRAELLIPSE,
+}
+
+
 def orbit_conic(e: float, l_sq: float, params: ModelParams) -> ConicParams:
     """Conic data of the Beltrami-coordinate orbit for l_sq > 0.
 
     p = 2L^2/(2ER^2 + L^2), eps = sqrt(1 - 4 omega^2 R^4 L^2/(2ER^2+L^2)^2);
     the semi-axes B^2 = p/(1+eps), A^2 = p/(1-eps) coincide with the turning
-    roots x1, x2, so B^2 A^2 = L^2/(omega^2 R^4).
+    roots x1, x2, so B^2 A^2 = L^2/(omega^2 R^4).  Like every `classify`
+    field the kind follows the regime (_CONIC_KINDS), and a Circle has eps = 0.
     """
     if l_sq <= 0.0:
         raise ValueError("conic form requires l_sq > 0")
-    em = eff_minimum(l_sq, params)
-    if em is not None and e < em[1] - CLASS_BAND * max(1.0, abs(e)):
-        raise ValueError("energy below the effective-potential minimum")
+    kind = _CONIC_KINDS.get(_regime_only(e, l_sq, params))
+    if kind is None:
+        raise ValueError("energy below the effective potential: no classical motion")
     b = 2.0 * params.radius**2 * e + l_sq
     p = 2.0 * l_sq / b
+    if kind == ConicKind.CIRCLE:
+        return ConicParams(p, 0.0, p, p, kind)
     arg = 1.0 - 4.0 * params.omega**2 * params.radius**4 * l_sq / (b * b)
     eps = math.sqrt(max(arg, 0.0))
-    b_sq = p / (1.0 + eps)
     a_sq = p / (1.0 - eps) if eps < 1.0 else math.inf
-    band = CLASS_BAND
-    if eps <= band:
-        kind = ConicKind.CIRCLE
-    elif abs(a_sq - 1.0) <= band * max(1.0, a_sq):
-        kind = ConicKind.EQUIDISTANT
-    elif a_sq < 1.0:
-        kind = ConicKind.ELLIPSE
-    elif b_sq < 1.0:
-        kind = ConicKind.ULTRAELLIPSE
-    else:
-        kind = ConicKind.NONE
-    return ConicParams(p, eps, a_sq, b_sq, kind)
-
+    return ConicParams(p, eps, a_sq, p / (1.0 + eps), kind)

@@ -273,7 +273,7 @@ def test_simulate_chart_rhs_overflow_is_a_numeric_error(tmp_path, capsys):
 
 def test_simulate_nan_first_step_is_a_numeric_error(tmp_path, capsys, monkeypatch):
     # q2 = 700 lifts to |z| ~ 6e303: finite, but the first derivative is NaN;
-    # the run must stop at its first step size, so a few RHS calls suffice
+    # the run must stop at t0, so a few RHS calls suffice
     calls = []
     ambient_rhs = dynamics._ambient_rhs
 
@@ -321,6 +321,59 @@ def test_simulate_with_overflowing_invariants_is_a_numeric_error_in_a_fresh_proc
     assert proc.returncode == EXIT_NUMERIC, proc.stderr
     assert proc.stderr == "integration failed: non-finite D11 in the sample table at t=0.0\n"
     assert not (tmp_path / "x").exists()
+
+
+def _cli_process(*argv):
+    """``python -m hyposc.cli *argv`` in a fresh process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return subprocess.run([sys.executable, "-m", "hyposc.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_simulate_with_a_nonfinite_first_derivative_fails_at_t0_in_a_fresh_process(tmp_path):
+    # at R = 1e150 the ambient right-hand side is not finite at t0: no
+    # first step size follows from it, and numpy is not asked for one
+    state = {"chart": "outer_plus", "q1": 1.0, "q2": 0.0, "phi": 0.0,
+             "p1": 0.5, "p2": 0.0, "pphi": 0.3}
+    cfg = _base_config(params={"omega": 1.0, "radius": 1e150},
+                       initial={"state": state}, integration={"t_span": [0.0, 2.0]})
+    proc = _cli_process("simulate", "--config", _write_config(tmp_path, cfg),
+                        "--out", str(tmp_path / "x"))
+    assert proc.returncode == EXIT_NUMERIC, proc.stderr
+    assert proc.stderr == ("integration failed: ambient integration failed: "
+                           f"{dynamics.NONFINITE_STEP}\n")
+    assert "RuntimeWarning" not in proc.stderr
+    assert not (tmp_path / "x").exists()
+
+
+# Circular (E, L^2) inside the band of the effective-potential minimum
+_CIRCULAR_IN_BAND = [
+    ("0.6105906805190334", "0.11991442953155865", "3.416029085515962", "0.32366501268002923"),
+    ("37.499999999955", "25", "10", "1"),
+]
+
+
+@pytest.mark.parametrize("e, l_sq, omega, radius", _CIRCULAR_IN_BAND)
+def test_classify_in_the_circular_band_is_a_circle_in_a_fresh_process(e, l_sq, omega, radius):
+    proc = _cli_process("classify", e, l_sq, "--omega", omega, "--radius", radius)
+    assert proc.returncode == EXIT_OK and proc.stderr == "", proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["regime"] == "Circular" and out["r_min"] == out["r_max"]
+    assert out["conic"]["kind"] == "Circle" and out["conic"]["eps"] == 0.0
+
+
+def test_simulate_in_the_circular_band_reports_a_circle_in_a_fresh_process(tmp_path):
+    e, l_sq, omega, radius = (float(v) for v in _CIRCULAR_IN_BAND[1])
+    cfg = _base_config(params={"omega": omega, "radius": radius},
+                       initial={"analytic": {"e": e, "l_sq": l_sq}},
+                       integration={"t_span": [0.0, 2.0]})
+    proc = _cli_process("simulate", "--config", _write_config(tmp_path, cfg),
+                        "--out", str(tmp_path / "x"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    report = json.loads((tmp_path / "x" / "report.json").read_text())
+    assert report["classification"]["regime"] == "Circular"
+    assert report["classification"]["conic"]["kind"] == "Circle"
 
 
 @pytest.mark.parametrize("state", [

@@ -123,9 +123,8 @@ def test_batch_raises_where_a_single_state_raises(chart, pole, momenta):
     coords = np.array(rows).T
     single = _message(lambda: lift_coords(chart, row, params.radius))
     assert _message(lambda: lift_coords(chart, coords, params.radius)) == single
-    if pole[0] == 0.0:
-        with pytest.raises(ValueError):
-            _state(chart, row)
+    with pytest.raises(ValueError):
+        _state(chart, row)
     # the same row without angular momenta lifts, and equals the single state
     rows[1] = pole + (momenta[0], 0.0, 0.0)
     _check_batch(chart, rows, params)

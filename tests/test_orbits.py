@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import random
 
 import numpy as np
 import numpy.testing as npt
@@ -365,6 +366,64 @@ def test_carrier_and_conic_follow_the_regime(omega, radius):
                 assert oc.conic is not None, (e, l_sq)
 
 
+CONIC_OF_REGIME = {
+    RadialRegime.CIRCULAR: ConicKind.CIRCLE,
+    RadialRegime.BOUNDED_GENERIC: ConicKind.ELLIPSE,
+    RadialRegime.ZERO_L2_BOUNDED: ConicKind.ELLIPSE,
+    RadialRegime.THRESHOLD: ConicKind.EQUIDISTANT,
+    RadialRegime.UNBOUNDED_GENERIC: ConicKind.ULTRAELLIPSE,
+    RadialRegime.REPULSIVE_L2: ConicKind.ULTRAELLIPSE,
+    RadialRegime.ZERO_L2_UNBOUNDED: ConicKind.ULTRAELLIPSE,
+}
+
+
+def _band_points(n, seed=24):
+    """(E, L^2, params) on the regime boundaries, where the 1e-12 bands decide.
+
+    Per draw of omega in 2^[-4, 4], R in 2^[-3, 3] and L^2 in (0.01, 0.99)
+    omega^2 R^4: E = e_min, e_min +- be/2 and omega^2 R^2 / 2 +- be/2 at that
+    L^2, and L^2 = +-1e-13 omega^2 R^4 at a bounded and an unbounded E, with
+    be = 1e-12 max(1, |E|, omega^2 R^2 / 2).
+    """
+    rng = random.Random(seed)
+    for _ in range(n):
+        params = ModelParams(2.0 ** rng.uniform(-4, 4), 2.0 ** rng.uniform(-3, 3))
+        half = 0.5 * params.omega**2 * params.radius**2
+        w2r4 = params.omega**2 * params.radius**4
+        l_sq = rng.uniform(0.01, 0.99) * w2r4
+        _, e_min = eff_minimum(l_sq, params)
+        be = 1e-12 * max(1.0, half)  # |E| <= half here, to within be
+        for e in (e_min, e_min - 0.5 * be, e_min + 0.5 * be, half - 0.5 * be, half + 0.5 * be):
+            yield e, l_sq, params
+        for e in (half * rng.uniform(0.1, 0.9), half * rng.uniform(1.1, 2.0)):
+            yield e, 1e-13 * w2r4, params
+            yield e, -1e-13 * w2r4, params
+
+
+def test_every_classify_field_follows_the_regime():
+    # inside the bands the conic kind, turning roots and radii take the
+    # regime's side, and nothing allowed raises
+    zero = (RadialRegime.ZERO_L2_BOUNDED, RadialRegime.ZERO_L2_UNBOUNDED)
+    seen = set()
+    for e, l_sq, params in _band_points(400):
+        point = (e, l_sq, params)
+        oc = classify(e, l_sq, params)
+        assert oc.regime != RadialRegime.FORBIDDEN, point
+        seen.add(oc.regime)
+        assert turning_radii(e, l_sq, params) == (oc.r_min, oc.r_max), point
+        x1, x2 = radial_roots(e, l_sq, params)
+        if l_sq > 0.0:
+            assert orbit_conic(e, l_sq, params).kind == CONIC_OF_REGIME[oc.regime], point
+        if oc.regime in zero:
+            assert oc.r_min == 0.0 and oc.conic is None, point
+        else:
+            assert oc.conic.kind == CONIC_OF_REGIME[oc.regime], point
+        if oc.regime == RadialRegime.CIRCULAR:
+            assert oc.conic.eps == 0.0 and oc.conic.a_sq == oc.conic.b_sq == oc.conic.p, point
+            assert x1 == x2 and oc.r_min == oc.r_max, point
+    assert seen == {RadialRegime.CIRCULAR, RadialRegime.THRESHOLD, *zero}
+
+
 def test_zero_l2_band_at_large_omega_has_no_conic():
     # |L^2| = 1e-9 lies inside the band 1e-12 omega^2 R^4 = 1e-6
     oc = classify(4e5, 1e-9, ModelParams(1e3, 1.0))
@@ -425,6 +484,19 @@ def test_trajectory_negative_l2_unbounded(params):
     tr = trajectory_negative_l2(1.5, -1.0, 0.0, 0.0, params)
     assert tr.r_max is None
     npt.assert_allclose(tr.tau_min, 0.44068679350977147, rtol=1e-12)
+
+
+def test_trajectory_negative_l2_follows_the_regime(params):
+    # inside the threshold band the regime is unbounded: the escape asymptote
+    # replaces r_max, and its acosh argument rounds to at most 1 there
+    bounded = (RadialRegime.NEG_L2_BOUNDED,)
+    for e in (0.5 - 1e-11, 0.5 - 1e-13, math.nextafter(0.5, 0.0), 0.5, 0.5 + 1e-13):
+        tr = trajectory_negative_l2(e, -1.0, 0.0, 0.0, params)
+        assert (tr.r_max is not None) == (classify(e, -1.0, params).regime in bounded), e
+        assert (tr.tau_min is None) == (tr.r_max is not None), e
+    assert trajectory_negative_l2(math.nextafter(0.5, 0.0), -1.0, 0.0, 0.0, params).tau_min == 0.0
+    with pytest.raises(ValueError):  # E = 0 with L^2 in the zero band is Forbidden
+        trajectory_negative_l2(0.0, -1e-13, 0.0, 0.0, params)
 
 
 def test_trajectory_negative_l2_validation(params):

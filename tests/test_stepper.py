@@ -169,8 +169,8 @@ def test_solve_stretch_reports_too_small_step():
 
 
 def test_solve_stretch_stops_on_a_nan_step():
-    # a NaN derivative makes the first step size NaN, which fails every
-    # comparison of the rejection loop: the stretch must stop, not spin
+    # no first step size follows from a NaN derivative at t0: the stretch
+    # must stop there, not spin
     calls = []
 
     def rhs(t, y):
