@@ -97,7 +97,7 @@ class PhaseState:
         if self.point.q1 == 0.0 and (self.p2 != 0.0 or self.pphi != 0.0):
             raise ValueError("angular momenta at the coordinate pole q1 = 0")
         # nor is p_phi on an inner chart's mu = 0 axis, where the lift divides by sinh(mu)
-        if not self.point.chart.is_outer and self.point.q2 == 0.0 and self.pphi != 0.0:
+        if self.point.q2 == 0.0 and self.pphi != 0.0 and not self.point.chart.is_outer:
             raise ValueError("azimuthal momentum on the mu = 0 axis")
 
 

@@ -119,10 +119,10 @@ def eff_minimum(l_sq: float, params: ModelParams):
 
 
 def radial_roots(e: float, l_sq: float, params: ModelParams):
-    """Roots (x1 <= x2) of the turning quadratic in X = tanh^2 r.  Like every
-    `classify` field they follow the regime: the double root exactly when it
-    is Circular; otherwise no real roots means E is below the minimum."""
-    circular = _regime_only(e, l_sq, params) == RadialRegime.CIRCULAR
+    """Roots (x1 <= x2) of the turning quadratic in X = tanh^2 r, which follow the
+    regime like every `classify` field: a double root when it is Circular or the
+    discriminant is negative (zero-L^2 band); only a Forbidden regime raises there."""
+    regime = _regime_only(e, l_sq, params)
     w2r4 = params.omega**2 * params.radius**4
     if w2r4 == 0.0:
         # omega = 0, or omega^2 R^4 below the smallest float: the quadratic
@@ -131,9 +131,9 @@ def radial_roots(e: float, l_sq: float, params: ModelParams):
                          f"{params.omega:g}, R = {params.radius:g}")
     b = 2.0 * params.radius**2 * e + l_sq
     disc = b * b - 4.0 * l_sq * w2r4
-    if disc < 0.0 and not circular:
+    if disc < 0.0 and regime == RadialRegime.FORBIDDEN:
         raise ValueError("no real turning structure: energy below the potential minimum")
-    root = 0.0 if circular else math.sqrt(disc)
+    root = 0.0 if regime == RadialRegime.CIRCULAR else math.sqrt(max(disc, 0.0))
     return ((b - root) / (2.0 * w2r4), (b + root) / (2.0 * w2r4))
 
 

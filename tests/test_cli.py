@@ -376,6 +376,22 @@ def test_simulate_in_the_circular_band_reports_a_circle_in_a_fresh_process(tmp_p
     assert report["classification"]["conic"]["kind"] == "Circle"
 
 
+def test_zero_l2_band_below_its_turning_discriminant_is_allowed_in_a_fresh_process(tmp_path):
+    # L^2 = 5e-13 lies in the zero band, and E = 1e-8 < omega sqrt(L^2)
+    # makes the turning discriminant negative; the regime still allows motion
+    proc = _cli_process("classify", "1e-8", "5e-13")
+    assert proc.returncode == EXIT_OK and proc.stderr == "", proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["regime"] == "ZeroL2Bounded" and out["r_min"] == 0.0 and out["conic"] is None
+    cfg = _base_config(initial={"analytic": {"e": 1e-8, "l_sq": 5e-13}},
+                       integration={"t_span": [0.0, 2.0]})
+    proc = _cli_process("simulate", "--config", _write_config(tmp_path, cfg),
+                        "--out", str(tmp_path / "x"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    report = json.loads((tmp_path / "x" / "report.json").read_text())
+    assert report["classification"]["regime"] == "ZeroL2Bounded"
+
+
 @pytest.mark.parametrize("state", [
     # cosh(q2)**2 and sinh(q2)**2 in the radial force scale, then ch**3 in
     # the outer chart equations, all evaluated before the first step

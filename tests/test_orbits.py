@@ -383,7 +383,10 @@ def _band_points(n, seed=24):
     Per draw of omega in 2^[-4, 4], R in 2^[-3, 3] and L^2 in (0.01, 0.99)
     omega^2 R^4: E = e_min, e_min +- be/2 and omega^2 R^2 / 2 +- be/2 at that
     L^2, and L^2 = +-1e-13 omega^2 R^4 at a bounded and an unbounded E, with
-    be = 1e-12 max(1, |E|, omega^2 R^2 / 2).
+    be = 1e-12 max(1, |E|, omega^2 R^2 / 2).  The zero-L^2 band also gets its
+    lower edge: E = be (1 +- 1/2) at both signs, and E = 3 be and just below
+    omega sqrt(L^2) at L^2 = +1e-13 omega^2 R^4, where the turning
+    discriminant is negative although the regime allows motion.
     """
     rng = random.Random(seed)
     for _ in range(n):
@@ -395,9 +398,11 @@ def _band_points(n, seed=24):
         be = 1e-12 * max(1.0, half)  # |E| <= half here, to within be
         for e in (e_min, e_min - 0.5 * be, e_min + 0.5 * be, half - 0.5 * be, half + 0.5 * be):
             yield e, l_sq, params
-        for e in (half * rng.uniform(0.1, 0.9), half * rng.uniform(1.1, 2.0)):
+        for e in (half * rng.uniform(0.1, 0.9), half * rng.uniform(1.1, 2.0), 0.5 * be, 1.5 * be):
             yield e, 1e-13 * w2r4, params
             yield e, -1e-13 * w2r4, params
+        for e in (3.0 * be, 0.99 * params.omega * math.sqrt(1e-13 * w2r4)):
+            yield e, 1e-13 * w2r4, params
 
 
 def test_every_classify_field_follows_the_regime():
@@ -408,8 +413,10 @@ def test_every_classify_field_follows_the_regime():
     for e, l_sq, params in _band_points(400):
         point = (e, l_sq, params)
         oc = classify(e, l_sq, params)
-        assert oc.regime != RadialRegime.FORBIDDEN, point
         seen.add(oc.regime)
+        if oc.regime == RadialRegime.FORBIDDEN:
+            assert oc.conic is oc.r_min is oc.r_max is oc.period is None, point
+            continue
         assert turning_radii(e, l_sq, params) == (oc.r_min, oc.r_max), point
         x1, x2 = radial_roots(e, l_sq, params)
         if l_sq > 0.0:
@@ -421,7 +428,7 @@ def test_every_classify_field_follows_the_regime():
         if oc.regime == RadialRegime.CIRCULAR:
             assert oc.conic.eps == 0.0 and oc.conic.a_sq == oc.conic.b_sq == oc.conic.p, point
             assert x1 == x2 and oc.r_min == oc.r_max, point
-    assert seen == {RadialRegime.CIRCULAR, RadialRegime.THRESHOLD, *zero}
+    assert seen == {RadialRegime.CIRCULAR, RadialRegime.THRESHOLD, RadialRegime.FORBIDDEN, *zero}
 
 
 def test_zero_l2_band_at_large_omega_has_no_conic():
