@@ -381,35 +381,14 @@ def cmd_classify(e: float, l_sq: float, omega: float, radius: float) -> int:
 
 def identities_report(params: Optional[ModelParams] = None, n_points: int = 1000,
                       seed: int = 42) -> dict:
-    """Max residual of each algebraic identity over seeded random states.
-
-    Pass flags aggregate the per-state verdicts (which are scale-relative);
-    informational rows keep passed = None.
-    """
-    import numpy as np
-
+    """The `verify identities` report over seeded random states."""
     from .geometry import lift_coords
-    from .invariants import IDENTITIES, identity_residuals, invariant_coords
+    from .invariants import invariant_coords, report_identities
     from .poisson import SAMPLE_CHART, sample_coords
 
     params = params or ModelParams()
     y = lift_coords(SAMPLE_CHART, sample_coords(n_points, seed), params.radius)
-    residuals, scale = identity_residuals(*invariant_coords(y[:4], y[4:], params), params)
-    checks = [
-        {
-            "identity": name,
-            "n_points": n_points,
-            "max_residual": float(np.max(r)),
-            "tol": tol,
-            "passed": None if tol is None else bool(np.all(r < tol * scale)),
-        }
-        for (name, tol), r in zip(IDENTITIES, residuals)
-    ]
-    return {
-        "label": "identities",
-        "passed": all(c["passed"] for c in checks if c["passed"] is not None),
-        "checks": checks,
-    }
+    return report_identities(*invariant_coords(y[:4], y[4:], params), params)
 
 
 def _print_identities(report: dict):
@@ -447,7 +426,7 @@ def cmd_verify(suite: str, seed: int, n_points: Optional[int], out_dir: Optional
                 print(rep.table())
                 reports.append((name, rep.passed, rep.as_dict()))
         if suite in ("identities", "all"):
-            rep = identities_report(params, n_points if n_points is not None else 1000, seed)
+            rep = identities_report(params, **kwargs)
             _print_identities(rep)
             reports.append(("identities", rep["passed"], rep))
     except MemoryError:  # numpy could not allocate the sample arrays
@@ -544,18 +523,24 @@ def main(argv=None) -> int:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         if args.command == "simulate":
-            cfg = _read_config_file(args.config)
-            return cmd_simulate(cfg, args.out)
-        if args.command == "classify":
-            return cmd_classify(args.e, args.l_sq, args.omega, args.radius)
-        if args.command == "verify":
-            return cmd_verify(args.suite, args.seed, args.points, args.out)
-        if args.command == "figure":
-            return cmd_figure(args.id, args.out)
+            code = cmd_simulate(_read_config_file(args.config), args.out)
+        elif args.command == "classify":
+            code = cmd_classify(args.e, args.l_sq, args.omega, args.radius)
+        elif args.command == "verify":
+            code = cmd_verify(args.suite, args.seed, args.points, args.out)
+        else:
+            code = cmd_figure(args.id, args.out)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    raise AssertionError("unreachable")
+    except BrokenPipeError:  # an output that cannot be written
+        # the interpreter flushes stdout again at exit: let that write go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ Components may be floats, numpy arrays (one entry per state, so a whole
 batch is differentiated in one pass) or themselves ``Dual`` (nesting gives exact
 second derivatives).
 
-The module-level functions (``sinh``, ``cos``, ...) dispatch on type so the
-same evaluator code runs on plain floats (through ``math``), on arrays
-(through numpy) and on duals of either.
+The module-level functions ``sinh``, ``cosh``, ``sin`` and ``cos`` share one
+type dispatch, so the same evaluator code runs on plain floats (through
+``math``), on arrays (through numpy) and on duals of either.
 """
 
 import math
@@ -86,44 +86,31 @@ class Dual:
 # ---- generic math ---------------------------------------------------------
 
 
-def sinh(x):
+def _apply(x, f, ufunc, df):
+    """f(x) through ``math`` for numbers, ``ufunc`` for arrays; df is f's derivative."""
     if isinstance(x, float):
-        return math.sinh(x)
+        return f(x)
     if isinstance(x, Dual):
-        return Dual(sinh(x.re), cosh(x.re) * x.im)
+        return Dual(_apply(x.re, f, ufunc, df), df(x.re) * x.im)
     if isinstance(x, np.ndarray):
-        return np.sinh(x)
-    return math.sinh(x)
+        return ufunc(x)
+    return f(x)
+
+
+def sinh(x):
+    return _apply(x, math.sinh, np.sinh, cosh)
 
 
 def cosh(x):
-    if isinstance(x, float):
-        return math.cosh(x)
-    if isinstance(x, Dual):
-        return Dual(cosh(x.re), sinh(x.re) * x.im)
-    if isinstance(x, np.ndarray):
-        return np.cosh(x)
-    return math.cosh(x)
+    return _apply(x, math.cosh, np.cosh, sinh)
 
 
 def sin(x):
-    if isinstance(x, float):
-        return math.sin(x)
-    if isinstance(x, Dual):
-        return Dual(sin(x.re), cos(x.re) * x.im)
-    if isinstance(x, np.ndarray):
-        return np.sin(x)
-    return math.sin(x)
+    return _apply(x, math.sin, np.sin, cos)
 
 
 def cos(x):
-    if isinstance(x, float):
-        return math.cos(x)
-    if isinstance(x, Dual):
-        return Dual(cos(x.re), -sin(x.re) * x.im)
-    if isinstance(x, np.ndarray):
-        return np.cos(x)
-    return math.cos(x)
+    return _apply(x, math.cos, np.cos, lambda u: -sin(u))
 
 
 # ---- per-row guards -------------------------------------------------------

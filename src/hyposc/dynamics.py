@@ -747,8 +747,8 @@ def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, project=None,
     """Step DOP853 over t_span (t1 > t0), detecting events as solve_ivp does.
 
     An event function counts on a step when g_old <= 0 <= g_new or g_old >= 0
-    >= g_new, filtered by its `direction` attribute; its root is found by
-    brentq on the step's dense output with xtol = rtol = 4 eps.
+    >= g_new; its root is found by brentq on the step's dense output with
+    xtol = rtol = 4 eps.
 
     `check(t, y)` sees the state after each accepted step and may raise to
     abort the run.  With `project`, the state is replaced by project(y) at
@@ -774,7 +774,6 @@ def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, project=None,
     h_abs = _initial_step(fun, t, y, t_bound, f, rtol, atol)
 
     tol = 4.0 * _EPS
-    direction = [getattr(ev, "direction", 0.0) for ev in events]
     g = [ev(t, y) for ev in events]
     t_events = [[] for _ in events]
     ts, ys, steps, t_proj = [t], [y], [], []
@@ -829,8 +828,8 @@ def solve_stretch(fun, t_span, y0, events=(), *, rtol, atol, project=None,
             check(t, y)
         steps.append(step)
         g_new = [ev(t, y) for ev in events]
-        for i, (a, b, d) in enumerate(zip(g, g_new, direction)):
-            if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b):
+        for i, (a, b) in enumerate(zip(g, g_new)):
+            if a <= 0 <= b or a >= 0 >= b:
                 t_events[i].append(
                     brentq(lambda s, ev=events[i]: ev(s, step(s)), step.t_old, t,
                            xtol=tol, rtol=tol)

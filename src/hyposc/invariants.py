@@ -22,14 +22,14 @@ and the weighted contraction sum_i gbar_ii L_i D_ik = 0 are checked here.
 All of it is computed by one array kernel (`ambient_generators`,
 `df_components`, `invariant_coords`, `identity_residuals`) whose arguments
 may be floats, (N,) arrays with one entry per state, or duals.
-`evaluate_invariants` and `check_identities` are its single-state view, and
-`l_squared` the closed chart form of L^2.
+`report_identities` turns its residuals into the `verify identities` report,
+`evaluate_invariants` is its single-state view, `check_identities` returns
+that report at one state, and `l_squared` is the closed chart form of L^2.
 """
 
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional
 
 import numpy as np
 
@@ -184,19 +184,6 @@ def evaluate_invariants(
     )
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    residual: float
-    tol: Optional[float]
-    passed: Optional[bool]  # None = informational (recorded, not asserted)
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    checks: tuple
-
-
 # (name, tolerance relative to the state's scale); None = recorded only.
 # The unweighted L.D contraction does not vanish (only the gbar-weighted one
 # does); its residual is recorded for reference without a pass flag.
@@ -234,13 +221,33 @@ def identity_residuals(h, h_free, gens: GeneratorSet, d, params: ModelParams):
     return residuals, scale
 
 
-def check_identities(inv: InvariantSet, params: ModelParams) -> IdentityReport:
-    """Residuals of the algebraic identities at one phase point."""
+def report_identities(h, h_free, gens: GeneratorSet, d, params: ModelParams) -> dict:
+    """The `verify identities` report over the states of `invariant_coords`' output.
+
+    A row passes when each state's residual is below tol times that state's
+    scale; informational rows keep passed = None.
+    """
+    residuals, scale = identity_residuals(h, h_free, gens, d, params)
+    checks = [
+        {
+            "identity": name,
+            "n_points": int(np.size(r)),
+            "max_residual": float(np.max(r)),
+            "tol": tol,
+            "passed": None if tol is None else bool(np.all(r < tol * scale)),
+        }
+        for (name, tol), r in zip(IDENTITIES, residuals)
+    ]
+    return {
+        "label": "identities",
+        "passed": all(c["passed"] for c in checks if c["passed"] is not None),
+        "checks": checks,
+    }
+
+
+def check_identities(inv: InvariantSet, params: ModelParams) -> dict:
+    """The `verify identities` report at one phase point (n_points = 1)."""
     d = inv.df
-    residuals, scale = identity_residuals(
+    return report_identities(
         inv.hamiltonian, inv.free_hamiltonian, inv.generators,
         (d[0, 0], d[0, 1], d[0, 2], d[1, 1], d[1, 2], d[2, 2]), params)
-    return IdentityReport(tuple(
-        IdentityCheck(name, float(r), tol, None if tol is None else bool(r < tol * scale))
-        for (name, tol), r in zip(IDENTITIES, residuals)
-    ))

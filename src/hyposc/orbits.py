@@ -39,7 +39,6 @@ from .geometry import ChartId, ChartPoint, PhaseState, _embed, _trig
 from .files import atomic_write_text, table_text
 # the scalar regime analysis, re-exported here
 from .regimes import (  # noqa: F401
-    CLASS_BAND,
     Carrier,
     ConicKind,
     ConicParams,
@@ -54,6 +53,7 @@ from .regimes import (  # noqa: F401
     radial_roots,
     turning_radii,
     _BOUNDED,
+    _energy_band,
     _regime_only,
 )
 
@@ -126,9 +126,9 @@ def radial_solution(
 
         return sol_circ
 
-    if regime in (RadialRegime.THRESHOLD,) or (
+    if regime == RadialRegime.THRESHOLD or (
         regime in (RadialRegime.ZERO_L2_UNBOUNDED, RadialRegime.NEG_L2_UNBOUNDED)
-        and abs(2.0 * e - w2r2) <= CLASS_BAND * max(1.0, abs(e), w2r2)
+        and abs(e - 0.5 * w2r2) <= _energy_band(e, 0.5 * w2r2)
     ):
         lam = l_sq / (params.omega**2 * params.radius**4)
         c = 1.0 - lam

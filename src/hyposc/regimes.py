@@ -191,6 +191,11 @@ def _l2_sign(l_sq: float, w2r4: float) -> int:
     return int(l_sq > bl) - int(l_sq < -bl)
 
 
+def _energy_band(e: float, half: float) -> float:
+    """Half-width of the band within which E counts as equal to omega^2 R^2 / 2 = half."""
+    return CLASS_BAND * max(1.0, abs(e), half)
+
+
 def _regime_only(e: float, l_sq: float, params: ModelParams) -> RadialRegime:
     try:
         w2r2 = params.omega**2 * params.radius**2
@@ -199,7 +204,7 @@ def _regime_only(e: float, l_sq: float, params: ModelParams) -> RadialRegime:
         raise ValueError(f"no turning structure: omega^2 R^4 overflows at omega = "
                          f"{params.omega:g}, R = {params.radius:g}") from None
     half = 0.5 * w2r2
-    be = CLASS_BAND * max(1.0, abs(e), half)
+    be = _energy_band(e, half)
     l2_sign = _l2_sign(l_sq, w2r4)
 
     if l2_sign < 0:

@@ -289,7 +289,7 @@ def test_criterion_07_bracket_algebra(params):
     for st in sample_states(N_ALGEBRA_STATES, seed=42):
         inv = evaluate_invariants(momentum_lift(st, params), params)
         rep = check_identities(inv, params)
-        row = {c.name: c.residual for c in rep.checks}
+        row = {c["identity"]: c["max_residual"] for c in rep["checks"]}
         worst_trace = max(worst_trace, row["H = (-D11 + D22 + D33)/2 - L^2/(2 R^2)"])
 
     ok = (

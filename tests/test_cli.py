@@ -1,10 +1,14 @@
+import copy
 import csv
 import json
 import math
+import operator
 import os
 import random
 import subprocess
 import sys
+from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,8 @@ from hyposc.cli import (
     main,
 )
 from hyposc.dynamics import IntegrationError, Mode
+from hyposc.orbits import FIGURE_IDS
+from hyposc.regimes import ChartId
 
 
 def _base_config(**overrides):
@@ -185,6 +191,55 @@ def test_simulate_non_list_figure_ids_is_a_config_error(tmp_path, capsys):
 
 _STATE = {"chart": "outer_plus", "q1": 1.0, "q2": 0.0, "phi": 0.0,
           "p1": 0.5, "p2": 0.0, "pphi": 0.3}
+
+
+SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "runconfig.schema.json")
+                    .read_text(encoding="utf-8"))
+
+
+def test_config_schema_objects_match_the_parser(tmp_path, capsys):
+    props = SCHEMA["properties"]
+    initial = props["initial"]["properties"]
+    state_cfg = _base_config(initial={"state": dict(_STATE)})
+    figure_cfg = _base_config(outputs=[{"kind": "FigureSet", "path": "figs", "ids": ["fig1"]}])
+    cases = [  # (parser's name, schema object, a config, keys from its root to that object)
+        ("config", SCHEMA, _base_config(), ()),
+        ("params", props["params"], _base_config(), ("params",)),
+        ("initial", props["initial"], _base_config(), ("initial",)),
+        ("initial", props["initial"], state_cfg, ("initial",)),  # state and analytic exclude each other
+        ("initial.state", initial["state"], state_cfg, ("initial", "state")),
+        ("initial.analytic", initial["analytic"], _base_config(), ("initial", "analytic")),
+        ("integration", props["integration"], _base_config(), ("integration",)),
+        ("outputs[0]", props["outputs"]["items"], figure_cfg, ("outputs", 0)),
+    ]
+    covered = {}
+    for where, schema, cfg, keys in cases:
+        obj = reduce(operator.getitem, keys, cfg)
+        assert set(obj) <= set(schema["properties"]), where
+        covered.setdefault(where, set()).update(obj)
+        load_config(cfg)
+        bad = copy.deepcopy(cfg)
+        reduce(operator.getitem, keys, bad)["extra"] = 1
+        code, err = _simulate_exit(tmp_path, capsys, bad)
+        assert code == EXIT_CONFIG and err == f"config error: unknown key(s) ['extra'] in {where}\n"
+    for where, schema, _, _ in cases:
+        assert covered[where] == set(schema["properties"]), where
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_schema_enums_match_the_parser():
+    props = SCHEMA["properties"]
+    modes = props["mode"]["enum"]
+    parsed = {load_config(_base_config(mode=m, initial={"state": _STATE})).mode for m in modes}
+    assert parsed == set(Mode)
+    with pytest.raises(ConfigError) as exc:
+        load_config(_base_config(mode="Wobble"))
+    assert str(exc.value) == f"mode must be one of {sorted(modes)}"
+    chart = props["initial"]["properties"]["state"]["properties"]["chart"]
+    assert chart["enum"] == [c.value for c in ChartId]
+    item = props["outputs"]["items"]["properties"]
+    assert item["kind"]["enum"] == list(cli.OUTPUT_KINDS)
+    assert item["ids"]["items"]["enum"] == list(FIGURE_IDS)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -465,6 +520,25 @@ def test_unwritable_output_is_a_config_error_naming_the_path(tmp_path, capsys, c
     assert not list(tmp_path.rglob(".tmp-*"))
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["classify", "0.4", "0.25"], ["verify", "so22", "--points", "4"]],
+                         ids=["classify", "verify"])
+def test_closed_stdout_is_a_config_error_in_a_fresh_process(argv, unbuffered):
+    # the read end of stdout's pipe is closed before the command starts: a
+    # buffered stdout fails at main's flush, an unbuffered one at the first print
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hyposc.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered))
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr, proc.stderr
+
+
 @pytest.mark.parametrize("suite", ["so22", "appendix_a", "identities", "all"])
 @pytest.mark.parametrize("points", ["0", "-2"])
 def test_verify_nonpositive_points_is_a_config_error(suite, points, capsys):
@@ -730,7 +804,7 @@ def test_identities_report_shape(params):
     loop = [check_identities(evaluate_invariants(momentum_lift(st, params), params), params)
             for st in sample_states(32, seed=5)]
     for k, row in enumerate(rep["checks"]):
-        assert abs(row["max_residual"] - max(r.checks[k].residual for r in loop)) <= 1e-12
+        assert abs(row["max_residual"] - max(r["checks"][k]["max_residual"] for r in loop)) <= 1e-12
 
 
 def test_cli_runs_without_scipy_integrate(tmp_path):

@@ -116,11 +116,12 @@ def test_weighted_contraction_vanishes(params):
 def test_check_identities_report(params):
     st = PhaseState(ChartPoint(ChartId.OUTER_PLUS, 1.2, 0.5, 0.3), 0.0, 1.0, 0.0)
     rep = check_identities(evaluate_invariants(momentum_lift(st, params), params), params)
-    names = [c.name for c in rep.checks]
+    names = [c["identity"] for c in rep["checks"]]
     assert "C1 = 0" in names
     assert "C2 + 2 R^2 H_free = 0" in names
-    assert all(c.passed for c in rep.checks if c.passed is not None)
-    info = [c for c in rep.checks if c.passed is None]
+    assert all(c["passed"] for c in rep["checks"] if c["passed"] is not None)
+    assert all(c["n_points"] == 1 for c in rep["checks"])
+    info = [c for c in rep["checks"] if c["passed"] is None]
     assert len(info) == 1  # unweighted contraction is recorded, not gated
 
 

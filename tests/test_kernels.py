@@ -162,7 +162,7 @@ def _check_round_trips(chart, row, params):
         inv.hamiltonian, inv.free_hamiltonian, inv.generators,
         (d[0, 0], d[0, 1], d[0, 2], d[1, 1], d[1, 2], d[2, 2]), params)
     report = check_identities(inv, params)
-    assert all(c.passed for c in report.checks if c.passed is not None)
+    assert all(c["passed"] for c in report["checks"] if c["passed"] is not None)
     # rounding level: 4,000 random states reached 1,241 eps, against
     # tolerances of 1e-10 to 1e-9
     for (name, tol), r in zip(IDENTITIES, residuals):

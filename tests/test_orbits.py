@@ -206,6 +206,25 @@ def test_radial_solution_threshold(params):
     npt.assert_allclose(float(sol_l(t)), expect, rtol=1e-12)
 
 
+@pytest.mark.parametrize("l_sq", [0.0, -1.0])
+def test_radial_solution_threshold_form_fills_the_regime_band(l_sq, params):
+    # ZeroL2Unbounded and NegL2Unbounded begin at E = omega^2 R^2 / 2 - be, where
+    # the unbounded form's sqrt(2E / omega^2 R^2 - 1) has no real value
+    be = 1e-12  # CLASS_BAND max(1, |E|, omega^2 R^2 / 2) near E = 1/2
+    t = np.linspace(-2.0, 2.0, 9)
+    e = 0.5 - 0.7 * be
+    assert classify(e, l_sq, params).regime in (
+        RadialRegime.ZERO_L2_UNBOUNDED, RadialRegime.NEG_L2_UNBOUNDED)
+    c = 1.0 - l_sq
+    npt.assert_array_equal(radial_solution(e, l_sq, params)(t), (1.0 / c + c * t * t) - 1.0)
+    # 10 be above the band the unbounded form stays, bit for bit
+    e = 0.5 + 11.0 * be
+    delta = math.sqrt((2.0 * e + l_sq) ** 2 - 4.0 * l_sq)
+    wc = math.sqrt(2.0 * e - 1.0)
+    expect = ((l_sq - 2.0 * e) + delta * np.cosh(2.0 * wc * t)) / (2.0 * (2.0 * e - 1.0))
+    npt.assert_array_equal(radial_solution(e, l_sq, params)(t), expect)
+
+
 def test_radial_solution_unbounded_start(params):
     sol = radial_solution(0.6, 0.25, params)
     npt.assert_allclose(float(sol(0.0)), 0.25, rtol=1e-12)  # x1/(1-x1) at closest approach
