@@ -1,17 +1,16 @@
 """Canonical Poisson brackets on the chart phase space, with algebra sweeps.
 
 The bracket {f, g} = sum_i (df/dq_i dg/dp_i - dg/dq_i df/dp_i) is evaluated
-with two independent derivative backends: forward-mode dual numbers (exact to
-roundoff, the default) and 4th-order central finite differences.  Sweeps over
-reproducible pseudo-random states machine-check the generator algebra and the
-full quadratic algebra of the symmetry tensor, reporting per-relation maximum
+with forward-mode dual numbers, exact to roundoff.  Sweeps over reproducible
+pseudo-random states machine-check the generator algebra and the full
+quadratic algebra of the symmetry tensor, reporting per-relation maximum
 residuals.  A sweep evaluates all its states in each kernel pass: the
 generator sweep makes 3 dual passes over the six generators alone, the
-tensor sweep 3 dual passes and 1 finite-difference pass per block of at most
-`BLOCK` states over Lt1-Lt3 and D11-D33 alone.  One dual pass carries the
-tangents of phi, p1, p2 and pphi together; it gives the same bits as one
-pass per coordinate because no denominator depends on phi or the momenta
-(see `_gradient_table`).  Derivatives are exact to roundoff either way.
+tensor sweep 3 dual passes over Lt1-Lt3 and D11-D33 alone.  One dual pass
+carries the tangents of phi, p1, p2 and pphi together; it gives the same
+bits as one pass per coordinate because no denominator depends on phi or
+the momenta (see `_gradient_table`).  The tests cross-check these
+derivatives against 4th-order central finite differences.
 
 Convention note: the sweep of the tensor algebra states its relations in the
 angular-momentum sign convention fixed by L1 = +p_phi on the outer chart
@@ -37,20 +36,11 @@ from .geometry import TWO_PI, ChartId, ChartPoint, ModelParams, PhaseState, lift
 from .geometry import momentum_lift  # noqa: F401
 from .invariants import ambient_generators, df_components
 
-# Step factor for the 4th-order stencil, h = FD_STEP * max(1, |x|).  The
-# eps^(1/5) heuristic puts the roundoff/truncation crossover near 7e-4 for
-# O(1) functions; the quartic observables here grow like e^(4 q1) across the
-# sampled range, which drags the optimum down.  2e-4 was tuned against the
-# exact dual backend (worst cross-backend gap ~6e-8 over seeds and params).
-FD_STEP = 2e-4
-# (offset in units of h, weight over 12 h) of the 4th-order central stencil
-FD_STENCIL = ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, -1.0))
-# states per finite-difference pass and per block of the relation pass; each
-# operation acts on one state, so blocking changes no value
+# states per block of the relation pass; each operation acts on one state,
+# so blocking changes no value
 BLOCK = 512
 
 DEFAULT_TOL = 1e-6
-BACKEND_TOL = 1e-7
 FITTED_TOL = 1e-9
 
 
@@ -75,18 +65,18 @@ def _tensor_values(chart: ChartId, coords, params: ModelParams) -> dict:
 
 
 # --------------------------------------------------------------------------
-# derivative backends
+# gradients
 
 
-def _gradient_table(values, coords, backend: str) -> dict:
+def _gradient_table(values, coords) -> dict:
     """d/d(q1, q2, phi, p1, p2, pphi) of every entry of ``values(coords)``.
 
     ``coords`` holds floats for one state or (N,) arrays for a batch of N
     states; each table entry then has shape (6,) or (6, N).
 
-    The dual backend makes 3 passes: one carrying the tangents of phi, p1,
-    p2 and pphi together as a (4,) + shape array (vector forward mode), then
-    one each for q1 and q2 with tangent 1.0.  The wide pass runs first, before
+    It makes 3 dual passes: one carrying the tangents of phi, p1, p2 and
+    pphi together as a (4,) + shape array (vector forward mode), then one
+    each for q1 and q2 with tangent 1.0.  The wide pass runs first, before
     the table is allocated, which lowers the peak memory of large batches.
     In a pass, +, - and * with a zero tangent round as the plain operation
     does, up to the sign of a zero, but Dual/Dual division rounds unlike
@@ -96,47 +86,21 @@ def _gradient_table(values, coords, backend: str) -> dict:
     holds the bits of one pass per coordinate, up to the sign of zeros.  (A
     dual's integer power is a repeated product, which a plain power may round
     otherwise; the library's powers are squares that feed sums only.)  The
-    derivatives are exact either way.
-
-    The finite-difference backend makes one pass per block of at most
-    `BLOCK` states: every coordinate j is handed to ``values`` as a
-    (len(FD_STENCIL), 6) + block shape array whose [k, i] entry belongs to
-    the copy of the block with coordinate i moved to stencil point k.  A
-    single state is the N = 1 case of the sweeps, carried as floats.
+    derivatives are exact either way.  A single state is the N = 1 case of
+    the sweeps, carried as floats.
     """
-    if backend not in ("dual", "fd"):
-        raise ValueError(f"unknown backend {backend!r} (use 'dual' or 'fd')")
     shape = np.shape(coords[0])
-    if backend == "dual":
-        # the wide pass's tangents are read-only views, immutable like 1.0
-        eye = np.eye(4).reshape((4, 4) + (1,) * len(shape))
-        wide = [(2 + j, np.broadcast_to(eye[j], (4,) + shape)) for j in range(4)]
-        passes = ((slice(2, 6), wide), (0, [(0, 1.0)]), (1, [(1, 1.0)]))
-        table = defaultdict(lambda: np.zeros((6,) + shape))
-        for rows, tangents in passes:
-            seeded = list(coords)
-            for i, tangent in tangents:
-                seeded[i] = Dual(coords[i], tangent)
-            for name, v in values(seeded).items():
-                table[name][rows] = v.im if isinstance(v, Dual) else 0.0
-        return table
-    if shape and shape[0] > BLOCK:
-        blocks = [_gradient_table(values, [x[s:s + BLOCK] for x in coords], "fd")
-                  for s in range(0, shape[0], BLOCK)]
-        return {name: np.concatenate([b[name] for b in blocks], axis=-1) for name in blocks[0]}
-    stencil = FD_STENCIL
-    x = np.array(coords, dtype=float)
-    h = FD_STEP * np.maximum(1.0, np.abs(x))
-    offsets = np.array([k for k, _ in stencil]).reshape((-1,) + (1,) * (x.ndim - 1))
-    stacked = [np.broadcast_to(xj, (len(stencil), 6) + xj.shape).copy() for xj in x]
-    for i, xi in enumerate(x):
-        stacked[i][:, i] = xi + offsets * h[i]
-    table = {}
-    for name, v in values(stacked).items():
-        total = 0.0
-        for k, (_, weight) in enumerate(stencil):
-            total = total + weight * v[k]
-        table[name] = total / (12.0 * h)
+    # the wide pass's tangents are read-only views, immutable like 1.0
+    eye = np.eye(4).reshape((4, 4) + (1,) * len(shape))
+    wide = [(2 + j, np.broadcast_to(eye[j], (4,) + shape)) for j in range(4)]
+    passes = ((slice(2, 6), wide), (0, [(0, 1.0)]), (1, [(1, 1.0)]))
+    table = defaultdict(lambda: np.zeros((6,) + shape))
+    for rows, tangents in passes:
+        seeded = list(coords)
+        for i, tangent in tangents:
+            seeded[i] = Dual(coords[i], tangent)
+        for name, v in values(seeded).items():
+            table[name][rows] = v.im if isinstance(v, Dual) else 0.0
     return table
 
 
@@ -212,7 +176,6 @@ class BracketCheck:
     max_residual: float
     passed: bool
     flagged: bool = False    # recorded but never gates the report
-    backend_gap: Optional[float] = None
     note: str = ""
 
     def as_dict(self) -> dict:
@@ -224,8 +187,6 @@ class BracketCheck:
             "passed": self.passed,
             "flagged": self.flagged,
         }
-        if self.backend_gap is not None:
-            out["backend_gap"] = self.backend_gap
         if self.note:
             out["note"] = self.note
         return out
@@ -257,10 +218,9 @@ class BracketReport:
         lines = [f"[{self.label}] tolerance {self.tolerance:g}"]
         for c in self.pairs:
             status = "flag" if c.flagged else ("ok" if c.passed else "FAIL")
-            gap = f"  gap {c.backend_gap:9.2e}" if c.backend_gap is not None else ""
             lines.append(
                 f"  {c.lhs:<{width}} -> {c.rhs:<{rwidth}} n={c.n_points:<5d}"
-                f" resid {c.max_residual:9.2e}{gap}  {status}"
+                f" resid {c.max_residual:9.2e}  {status}"
             )
         for note in self.notes:
             lines.append(f"  note: {note}")
@@ -268,20 +228,17 @@ class BracketReport:
         return "\n".join(lines)
 
 
-def _sweep(kernel, coords, params, rows, backends):
-    """Max residual (first backend) and max cross-backend gap per relation.
+def _sweep(kernel, coords, params, rows):
+    """Max residual per relation.
 
     kernel: `_generator_values` or `_tensor_values`, whichever holds every
     observable the relations read.
     coords: (6, N) outer-chart coordinates, one state per column.
-    rows: relation rows, in the format of the tables below.  The gap of a
-    state is |{a, b}_first - {a, b}_second| / max(1, |grad a| |grad b|): the
-    bracket pairs the two gradients, so its finite-difference error scales
-    with the product of their sizes.
+    rows: relation rows, in the format of the tables below.
 
     All relations are evaluated together, over blocks of at most `BLOCK`
-    states: each backend's gradients are stacked component-major, as six
-    (n_obs, N) arrays, and gathered per relation once per block.
+    states: the gradients are stacked component-major, as six (n_obs, N)
+    arrays, and gathered per relation once per block.
     """
 
     def values(c):
@@ -295,45 +252,37 @@ def _sweep(kernel, coords, params, rows, backends):
     rhs = np.empty((len(rows), coords.shape[1]))
     for j, (_, _, _, rhs_fn) in enumerate(rows):
         rhs[j] = rhs_fn(vals, w2, iR2)
-    grads = [np.stack([t[n] for n in names], axis=1)  # (6, n_obs, N)
-             for t in (_gradient_table(values, coords, b) for b in backends)]
+    table = _gradient_table(values, coords)
+    grads = np.stack([table[n] for n in names], axis=1)  # (6, n_obs, N)
+    del table  # the stacked copy alone lives through the relation pass
     res = np.zeros(len(rows))
-    gap = np.zeros(len(rows))
     for start in range(0, coords.shape[1], BLOCK):
-        comps = [g[:, :, start:start + BLOCK] for g in grads]
-        lhs = [_symplectic_pair(_Rows(c, ia), _Rows(c, ib)) for c in comps]
-        dev = lhs[0] - rhs[:, start:start + BLOCK]
+        comps = grads[:, :, start:start + BLOCK]
+        dev = _symplectic_pair(_Rows(comps, ia), _Rows(comps, ib)) - rhs[:, start:start + BLOCK]
         res = np.maximum(res, np.max(np.abs(dev, out=dev), axis=1))
-        if len(lhs) > 1:
-            norm = np.linalg.norm(comps[0], axis=0)  # (n_obs, block)
-            dev = lhs[0] - lhs[1]
-            dev = np.abs(dev, out=dev) / np.maximum(1.0, norm[ia] * norm[ib])
-            gap = np.maximum(gap, np.max(dev, axis=1))
-    return res, gap
+    return res
 
 
-def _verify(label, kernel, backends, groups, params, n_points, seed, notes=()):
+def _verify(label, kernel, groups, params, n_points, seed, notes=()):
     """The `BracketReport` of one sweep over ``groups`` of relation tables.
 
     Each group is (table, row_tol, flagged, note); its rows are checked
-    against row_tol, or DEFAULT_TOL when row_tol is None.  A row passes when its
-    residual is below that tolerance and its cross-backend gap below
-    BACKEND_TOL; the gap is reported only when two backends run.  Display
-    names drop the 't' of Lt1-Lt3.
+    against row_tol, or DEFAULT_TOL when row_tol is None: a row passes when
+    its residual is below that tolerance.  Display names drop the 't' of
+    Lt1-Lt3.
     """
     entries = [(row, row_tol or DEFAULT_TOL, flagged, note)
                for table, row_tol, flagged, note in groups for row in table]
-    res, gap = _sweep(kernel, sample_coords(n_points, seed), params or ModelParams(),
-                      [row for row, _, _, _ in entries], backends)
+    res = _sweep(kernel, sample_coords(n_points, seed), params or ModelParams(),
+                 [row for row, _, _, _ in entries])
     checks = tuple(
         BracketCheck(
             lhs=f"{{{a.replace('Lt', 'L')}, {b.replace('Lt', 'L')}}}",
             rhs=text,
             n_points=n_points,
             max_residual=float(res[j]),
-            passed=bool(res[j] < row_tol and gap[j] < BACKEND_TOL),
+            passed=bool(res[j] < row_tol),
             flagged=flagged,
-            backend_gap=float(gap[j]) if len(backends) > 1 else None,
             note=note,
         )
         for j, ((a, b, text, _), row_tol, flagged, note) in enumerate(entries)
@@ -370,9 +319,8 @@ _SO22_TABLE = (
 
 def verify_so22(params: Optional[ModelParams] = None, n_points: int = 1000,
                 seed: int = 42) -> BracketReport:
-    """Check the 15 independent generator brackets at random states, with
-    the dual backend."""
-    return _verify("so22", _generator_values, ("dual",), ((_SO22_TABLE, None, False, ""),),
+    """Check the 15 independent generator brackets at random states."""
+    return _verify("so22", _generator_values, ((_SO22_TABLE, None, False, ""),),
                    params, n_points, seed)
 
 
@@ -471,14 +419,12 @@ def verify_df_algebra(params: Optional[ModelParams] = None, n_points: int = 64,
                       seed: int = 42) -> BracketReport:
     """Sweep the tensor-generator and tensor-tensor bracket relations.
 
-    Every relation is evaluated with both derivative backends; a relation
-    passes when the dual-backend residual is below DEFAULT_TOL (FITTED_TOL
-    for the fitted coefficient rows) and the backends agree to
-    BACKEND_TOL relative to max(1, |grad a| |grad b|) at every state
-    (``backend_gap`` reports that relative gap).  The three flagged rows record how far the rejected
-    coefficient forms sit from the numeric bracket without gating the result.
+    A relation passes when its residual is below DEFAULT_TOL (FITTED_TOL
+    for the fitted coefficient rows) at every state.  The three flagged rows
+    record how far the rejected coefficient forms sit from the numeric
+    bracket without gating the result.
     """
-    return _verify("df_algebra", _tensor_values, ("dual", "fd"), (
+    return _verify("df_algebra", _tensor_values, (
         (_DL_TABLE + _DD_TABLE, None, False, ""),
         (_FLAGGED_TABLE, None, True, "candidate form rejected; numeric bracket is ground truth"),
         (_FITTED_TABLE, FITTED_TOL, False, "fitted coefficients"),

@@ -8,6 +8,9 @@ product kernels, and maps no command uses:
 - `_library_values` and `bracket`: every named observable from one lift,
   and the canonical bracket of two of them at one state, the N = 1 case of
   the sweeps' gradient table;
+- `fd_table` and `backend_gap`: 4th-order central finite differences beside
+  the product's dual gradient table, and the relative gap between the
+  brackets of the two per relation of a sweep;
 - `beltrami`: the projective coordinates x_i = R z_i / z0;
 - an exact-arithmetic oracle for the bracket algebra: `Exact` carries a
   `Fraction` value and its 8 partials in (z0..z3, p0..p3) through the
@@ -15,13 +18,14 @@ product kernels, and maps no command uses:
   states exactly on the shell (`shell_state`), with the ambient canonical
   bracket {z_a, p_b} = delta_ab (`exact_bracket`) and exact Gaussian
   elimination for ranks (`exact_rank`).  It does not reach `lift_coords`,
-  the chart-to-ambient map, whose derivatives only the dual/finite-difference
-  cross-check of the sweeps covers.
+  the chart-to-ambient map, whose derivatives only `backend_gap` covers.
 """
 
 import math
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from hyposc import poisson
 from hyposc.geometry import EmbeddingPoint, ModelParams, PhaseState, lift_coords, momentum_lift
@@ -36,6 +40,17 @@ from hyposc.regimes import ChartId
 
 COORD_NAMES = ("q1", "q2", "phi", "p1", "p2", "pphi")
 D_NAMES = ("D11", "D12", "D13", "D22", "D23", "D33")
+# the rows of verify_df_algebra that gate its report
+DF_REGULAR_ROWS = poisson._DL_TABLE + poisson._DD_TABLE + poisson._FITTED_TABLE
+
+# Step factor for the 4th-order stencil, h = FD_STEP * max(1, |x|).  The
+# eps^(1/5) heuristic puts the roundoff/truncation crossover near 7e-4 for
+# O(1) functions; the quartic observables here grow like e^(4 q1) across the
+# sampled range, which drags the optimum down.  2e-4 was tuned against the
+# exact dual derivatives (worst absolute gap ~6e-8 over seeds and params).
+FD_STEP = 2e-4
+# (offset in units of h, weight over 12 h) of the 4th-order central stencil
+FD_STENCIL = ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +125,66 @@ def _library_values(chart: ChartId, coords, params: ModelParams) -> dict:
     return out
 
 
+def fd_table(values, coords) -> dict:
+    """`poisson._gradient_table` by finite differences, one pass per
+    coordinate and stencil point.
+
+    A single state runs as a batch of one, so its rows hold the bits of the
+    matching column of a batched table.
+    """
+    shape = np.shape(coords[0])
+    coords = [np.reshape(np.asarray(x, dtype=float), shape or (1,)) for x in coords]
+    table = {}
+    for i, x in enumerate(coords):
+        seeded = list(coords)
+        h = FD_STEP * np.maximum(1.0, np.abs(x))
+        sums = {}
+        for k, weight in FD_STENCIL:
+            seeded[i] = x + k * h
+            for name, v in values(seeded).items():
+                sums[name] = sums.get(name, 0.0) + weight * v
+        for name, total in sums.items():
+            table.setdefault(name, np.zeros((6,) + shape))[i] = np.reshape(total / (12.0 * h), shape)
+    return table
+
+
+def backend_gap(kernel, coords, params: ModelParams, rows) -> np.ndarray:
+    """Per relation row of a sweep, the max over states of
+    |{a, b}_dual - {a, b}_fd| / max(1, |grad a| |grad b|).
+
+    The arguments are those of `poisson._sweep`.  The bracket pairs the two
+    gradients, so its finite-difference error scales with the product of
+    their sizes.
+    """
+
+    def values(c):
+        return kernel(poisson.SAMPLE_CHART, c, params)
+
+    dual = poisson._gradient_table(values, coords)
+    fd = fd_table(values, coords)
+    gap = np.zeros(len(rows))
+    for j, (a, b, _, _) in enumerate(rows):
+        dev = poisson._symplectic_pair(dual[a], dual[b]) - poisson._symplectic_pair(fd[a], fd[b])
+        size = np.linalg.norm(dual[a], axis=0) * np.linalg.norm(dual[b], axis=0)
+        gap[j] = np.max(np.abs(dev) / np.maximum(1.0, size))
+    return gap
+
+
+# the gradient tables by backend name
+GRADIENT_TABLES = {"dual": poisson._gradient_table, "fd": fd_table}
+
+
 def bracket(f: str, g: str, state: PhaseState, params: ModelParams,
             backend: str = "dual") -> float:
     """Canonical bracket {f, g} of two `_library_values` names at one state.
 
     The N = 1 case of the sweeps: one gradient table over `_library_values`,
-    its rows f and g paired by `poisson._symplectic_pair`.
+    by dual numbers or, with backend="fd", by `fd_table`, its rows f and g
+    paired by `poisson._symplectic_pair`.
     """
     pt = state.point
     coords = [float(c) for c in (pt.q1, pt.q2, pt.phi, state.p1, state.p2, state.pphi)]
-    table = poisson._gradient_table(
-        lambda c: _library_values(pt.chart, c, params), coords, backend)
+    table = GRADIENT_TABLES[backend](lambda c: _library_values(pt.chart, c, params), coords)
     for name in (f, g):
         if name not in table:
             raise ValueError(f"unknown observable {name!r} (known: {', '.join(table)})")

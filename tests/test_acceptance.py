@@ -272,6 +272,10 @@ def test_criterion_06_conic_orbit_geometry(case_a, params):
 
 
 def test_criterion_07_bracket_algebra(params):
+    from oracles import DF_REGULAR_ROWS, backend_gap
+
+    from hyposc.poisson import _tensor_values, sample_coords
+
     so22 = verify_so22(params, n_points=N_ALGEBRA_STATES, seed=42)
     assert so22.tolerance == TOL_BRACKET
     worst_so22 = max(p.max_residual for p in so22.pairs)
@@ -281,7 +285,8 @@ def test_criterion_07_bracket_algebra(params):
     fitted = [p for p in regular if "fitted" in p.note]
     flagged = [p for p in df.pairs if p.flagged]
     worst_regular = max(p.max_residual for p in regular)
-    worst_gap = max(p.backend_gap for p in regular if p.backend_gap is not None)
+    coords = sample_coords(64, seed=42)
+    worst_gap = max(backend_gap(_tensor_values, coords, params, DF_REGULAR_ROWS))
     worst_fitted = max(p.max_residual for p in fitted)
 
     # trace-coefficient identity of the tensor against H, swept separately

@@ -8,7 +8,8 @@ from hyposc.duals import Dual
 from hyposc.dynamics import Mode, _chart_rhs
 from hyposc.geometry import ChartId, ChartPoint, ModelParams, PhaseState
 from hyposc.poisson import sample_states, verify_df_algebra, verify_so22
-from oracles import COORD_NAMES, _library_values, bracket
+from oracles import (COORD_NAMES, DF_REGULAR_ROWS, GRADIENT_TABLES, _library_values,
+                     backend_gap, bracket, fd_table)
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +78,7 @@ def test_single_state_fd_rows_match_batched_table(monkeypatch):
 
     params = ModelParams(2.0, 0.5)
     coords = poisson.sample_coords(24, 4)
-    batched = poisson._gradient_table(
-        lambda c: _library_values(poisson.SAMPLE_CHART, c, params), list(coords), "fd")
+    batched = fd_table(lambda c: _library_values(poisson.SAMPLE_CHART, c, params), list(coords))
     names = list(batched)
     assert len(names) == 24 and set(COORD_NAMES) <= set(names)
     rows = []
@@ -127,7 +127,7 @@ def test_verify_df_algebra_report(params):
     assert all(p.max_residual < 1e-9 for p in fitted)
     regular = [p for p in rep.pairs if not p.flagged]
     assert all(p.max_residual < 1e-6 for p in regular)
-    assert all(p.backend_gap < 1e-7 for p in regular if p.backend_gap is not None)
+    assert all(_gap(params, 24, 3) < 1e-7)
 
 
 def test_report_json_round_trip(params, tmp_path):
@@ -169,70 +169,40 @@ def test_batched_sweeps_match_single_state_loop(params):
         assert abs(row.max_residual - loop) <= 1e-12
 
 
+def _gap(params, n_points, seed):
+    """The oracle's dual-vs-fd gap of `verify_df_algebra`'s regular rows."""
+    import hyposc.poisson as poisson
+
+    coords = poisson.sample_coords(n_points, seed)
+    return backend_gap(poisson._tensor_values, coords, params, DF_REGULAR_ROWS)
+
+
 def test_df_backend_check_scales_with_bracket_size():
     # at small R the finite-difference gap exceeds 1e-7 in absolute terms
     # (1.1e-6 on this seed) but stays near 1e-11 of |grad f| |grad g|
-    rep = verify_df_algebra(ModelParams(2.0, 0.5), n_points=24, seed=5)
+    params = ModelParams(2.0, 0.5)
+    rep = verify_df_algebra(params, n_points=24, seed=5)
     assert rep.passed
-    assert all(p.backend_gap < 1e-9 for p in rep.pairs)
+    assert all(_gap(params, 24, 5) < 1e-9)
+
+
+@pytest.mark.parametrize("omega", [1.0, 4.0])
+@pytest.mark.parametrize("radius", [0.01, 1.0, 100.0])
+def test_df_backend_gap_is_scale_free(omega, radius):
+    assert all(_gap(ModelParams(omega, radius), 64, 3) < 1e-9)
 
 
 def test_df_backend_check_rejects_wrong_stencil(params, monkeypatch):
-    import hyposc.poisson as poisson
+    import oracles
 
-    stencil = poisson.FD_STENCIL[:-1] + ((2.0, 1.0),)  # last weight's sign flipped
-    monkeypatch.setattr(poisson, "FD_STENCIL", stencil)
-    rep = verify_df_algebra(params, n_points=8, seed=3)
-    assert not rep.passed
-    regular = [p for p in rep.pairs if not p.flagged]
-    assert all(p.backend_gap > 1e-3 and not p.passed for p in regular)
-
-
-def _fd_reference(values, coords, stencil):
-    """Finite-difference gradient table, one pass per coordinate and stencil point."""
-    from hyposc.poisson import FD_STEP
-
-    table = {}
-    for i, x in enumerate(coords):
-        seeded = list(coords)
-        h = FD_STEP * np.maximum(1.0, np.abs(x))
-        sums = {}
-        for k, weight in stencil:
-            seeded[i] = x + k * h
-            for name, v in values(seeded).items():
-                sums[name] = sums.get(name, 0.0) + weight * v
-        for name, total in sums.items():
-            table.setdefault(name, np.zeros((6,) + np.shape(coords[0])))[i] = total / (12.0 * h)
-    return table
+    stencil = oracles.FD_STENCIL[:-1] + ((2.0, 1.0),)  # last weight's sign flipped
+    monkeypatch.setattr(oracles, "FD_STENCIL", stencil)
+    assert all(_gap(params, 8, 3) > 1e-3)
 
 
 def _same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-_WRONG_STENCIL = ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, 1.0))
-
-
-@pytest.mark.parametrize("omega, radius", [(1.0, 1.0), (2.0, 0.5)])
-@pytest.mark.parametrize("wrong_stencil", [False, True])
-def test_stacked_fd_pass_matches_per_pass_loop(omega, radius, wrong_stencil, monkeypatch):
-    import hyposc.poisson as poisson
-
-    if wrong_stencil:
-        monkeypatch.setattr(poisson, "FD_STENCIL", _WRONG_STENCIL)
-    params = ModelParams(omega, radius)
-    for seed in (0, 1, 2):
-        coords = list(poisson.sample_coords(24, seed))
-
-        def values(c):
-            return _library_values(poisson.SAMPLE_CHART, c, params)
-
-        stacked = poisson._gradient_table(values, coords, "fd")
-        reference = _fd_reference(values, coords, poisson.FD_STENCIL)
-        assert stacked.keys() == reference.keys()
-        for name in reference:
-            assert _same_bits(stacked[name], reference[name]), name
 
 
 @pytest.mark.parametrize("omega, radius", [(1.0, 1.0), (2.0, 0.5)])
@@ -244,10 +214,8 @@ def test_generator_kernel_matches_library_kernel(omega, radius, backend):
     coords = list(poisson.sample_coords(24, 4))
     kernels = (poisson._generator_values, _library_values)
     vals = [k(poisson.SAMPLE_CHART, coords, params) for k in kernels]
-    tables = [
-        poisson._gradient_table(lambda c, k=k: k(poisson.SAMPLE_CHART, c, params), coords, backend)
-        for k in kernels
-    ]
+    tables = [GRADIENT_TABLES[backend](lambda c, k=k: k(poisson.SAMPLE_CHART, c, params), coords)
+              for k in kernels]
     assert set(vals[0]) == {"L1", "L2", "L3", "N1", "N2", "N3"}
     for name in vals[0]:
         assert _same_bits(vals[0][name], vals[1][name]), name
@@ -286,7 +254,7 @@ def test_three_dual_passes_match_one_pass_per_coordinate(omega, radius, kernel):
         coords = poisson.sample_coords(24, seed)
         batches = [list(coords)] + [[float(x) for x in coords[:, j]] for j in (0, 11, 23)]
         for batch in batches:
-            table = poisson._gradient_table(values, batch, "dual")
+            table = poisson._gradient_table(values, batch)
             reference = _dual_reference(values, batch)
             assert table.keys() == reference.keys()
             for name in reference:
@@ -303,18 +271,16 @@ def test_tensor_kernel_matches_library_kernel(omega, radius, backend):
     coords = list(poisson.sample_coords(24, 6))
     kernels = (poisson._tensor_values, _library_values)
     vals = [k(poisson.SAMPLE_CHART, coords, params) for k in kernels]
-    tables = [
-        poisson._gradient_table(lambda c, k=k: k(poisson.SAMPLE_CHART, c, params), coords, backend)
-        for k in kernels
-    ]
+    tables = [GRADIENT_TABLES[backend](lambda c, k=k: k(poisson.SAMPLE_CHART, c, params), coords)
+              for k in kernels]
     assert set(vals[0]) == {"Lt1", "Lt2", "Lt3", "D11", "D12", "D13", "D22", "D23", "D33"}
     for name in vals[0]:
         assert _same_bits(vals[0][name], vals[1][name]), name
         assert _same_bits(tables[0][name], tables[1][name]), name
 
 
-def _sweep_reference(kernel, coords, params, relations, backends):
-    """Residual and gap per relation, one relation at a time on whole tables."""
+def _sweep_reference(kernel, coords, params, relations):
+    """Residual per relation, one relation at a time on the whole table."""
     import hyposc.poisson as poisson
 
     def pair(gf, gg):
@@ -327,16 +293,11 @@ def _sweep_reference(kernel, coords, params, relations, backends):
 
     vals = values(coords)
     w2, iR2 = params.omega**2, 1.0 / params.radius**2
-    tables = [poisson._gradient_table(values, coords, b) for b in backends]
+    table = poisson._gradient_table(values, coords)
     res = np.zeros(len(relations))
-    gap = np.zeros(len(relations))
     for j, (a, b, _, rhs_fn) in enumerate(relations):
-        lhs = [pair(t[a], t[b]) for t in tables]
-        res[j] = np.max(np.abs(lhs[0] - rhs_fn(vals, w2, iR2)))
-        if len(lhs) > 1:
-            size = np.linalg.norm(tables[0][a], axis=0) * np.linalg.norm(tables[0][b], axis=0)
-            gap[j] = np.max(np.abs(lhs[0] - lhs[1]) / np.maximum(1.0, size))
-    return res, gap
+        res[j] = np.max(np.abs(pair(table[a], table[b]) - rhs_fn(vals, w2, iR2)))
+    return res
 
 
 def _relations(kind):
@@ -356,36 +317,9 @@ def test_stacked_relation_pass_matches_per_relation_loop(kind):
     assert n > 2 * poisson.BLOCK
     params = ModelParams(1.0, 1.0)
     coords = poisson.sample_coords(n, 8)
-    if kind == "so22":
-        kernel, backends = poisson._generator_values, ("dual",)
-    else:
-        kernel, backends = poisson._tensor_values, ("dual", "fd")
+    kernel = poisson._generator_values if kind == "so22" else poisson._tensor_values
     relations = _relations(kind)
-    res, gap = poisson._sweep(kernel, coords, params, relations, backends)
-    ref_res, ref_gap = _sweep_reference(kernel, coords, params, relations, backends)
-    assert _same_bits(res, ref_res)
-    assert _same_bits(gap, ref_gap)
+    res = poisson._sweep(kernel, coords, params, relations)
+    assert _same_bits(res, _sweep_reference(kernel, coords, params, relations))
     if kind == "df_algebra":
-        assert np.all(gap > 0.0)
-
-
-def test_blocked_fd_pass_matches_one_unblocked_pass(params, monkeypatch):
-    import hyposc.poisson as poisson
-
-    n = 1300
-    coords = list(poisson.sample_coords(n, 10))
-    calls = []
-
-    def values(c):
-        calls.append(np.shape(c[0]))
-        return poisson._tensor_values(poisson.SAMPLE_CHART, c, params)
-
-    blocked = poisson._gradient_table(values, coords, "fd")
-    assert calls == [(4, 6, 512), (4, 6, 512), (4, 6, n - 1024)]
-    monkeypatch.setattr(poisson, "BLOCK", n)
-    calls.clear()
-    whole = poisson._gradient_table(values, coords, "fd")
-    assert calls == [(4, 6, n)]
-    assert blocked.keys() == whole.keys()
-    for name in whole:
-        assert _same_bits(blocked[name], whole[name]), name
+        assert np.all(backend_gap(kernel, coords, params, relations) > 0.0)
