@@ -25,8 +25,10 @@ fixed tolerances REL_TOL and ABS_TOL (2-8 steps per dynamical time), with
 solve_ivp's event rules and one DenseSolution over the per-step
 interpolants.  The stepper and brentq are ports of scipy's (below), so
 the package needs numpy only; each step's dense output is built the first
-time something evaluates it.  In ambient form solve_stretch re-projects
-the state onto the shell z.z = R^2 in place about once per dynamical time
+time something evaluates it; a finished run is read through one batched
+reader, DenseSolution.at, in one call by the closure pass and by the roots
+of each event function.  In ambient form solve_stretch re-projects the
+state onto the shell z.z = R^2 in place about once per dynamical time
 (dt_proj) and keeps stepping: the step size and controller state carry
 over, so there is no restart (the projection method of Hairer-Lubich-Wanner,
 Geometric Numerical Integration, IV.4).  An ambient run is aborted at the
@@ -37,10 +39,10 @@ root-polished by brentq on the step's dense output to ~1e-12.
 
 A run's samples form one float table with a row per name in COLUMNS (time,
 chart state, ambient state, invariants) and a column per sample.  Chart
-samples are lifted one at a time (lift_coords on floats, through math);
-ambient samples are projected onto the shell and mapped to their chart one
-at a time; the invariants are then evaluated once over the run's (8, n)
-ambient block.
+samples (and chart-run dense rows) are lifted one at a time (lift_coords on
+floats, through math); ambient samples are projected onto the shell and
+mapped to their chart one at a time; the invariants are then evaluated once
+over the run's (8, n) ambient block.
 
 The time-T map of a bounded orbit is the central inversion
 (z0, zvec, p0, pvec) -> (z0, -zvec, p0, -pvec); a PeriodClosure event is
@@ -49,7 +51,6 @@ the initial point or its inversion image, so closures appear at every
 multiple of the radial period (full identity at even multiples).
 """
 
-import bisect
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -317,6 +318,14 @@ def _phase_from_y8(y8: np.ndarray) -> EmbeddingPhase:
 
 def _y8_from_phase(ph: EmbeddingPhase) -> np.ndarray:
     return np.concatenate([ph.z.array, ph.momentum_array])
+
+
+def _lift_chart_rows(chart: ChartId, y6: np.ndarray, radius: float) -> np.ndarray:
+    """Wrap phi of the (n, 6) chart rows y6 into [0, 2 pi) in place and return
+    their (n, 8) ambient rows.  Each row is lifted alone, on floats through
+    math: numpy's transcendental functions differ from math's in the last bit."""
+    y6[:, 2] %= TWO_PI
+    return np.array([lift_coords(chart, q, radius) for q in y6]).reshape(-1, 8)
 
 
 def central_inversion(y8: np.ndarray) -> np.ndarray:
@@ -656,22 +665,19 @@ class DenseSolution:
         self.t_min = ts[0]
         self.t_max = ts[-1]
 
-    def __call__(self, t):
-        segment = min(max(bisect.bisect_left(self.ts, t) - 1, 0), len(self.steps) - 1)
-        return self.steps[segment](t)
-
     def at(self, ts) -> np.ndarray:
         """The solution at each of the times ``ts``, as a (ts.size, n) array.
 
-        Row k equals self(ts[k]) bit for bit; each step evaluates all of its
-        times in one pass.
+        Row k equals the step's own interpolant at ts[k] bit for bit; each
+        step evaluates all of its times in one pass.
         """
         ts = np.asarray(ts, dtype=float)
         segments = np.clip(np.searchsorted(self.ts, ts, side="left") - 1, 0, len(self.steps) - 1)
         out = np.empty((ts.size, self.steps[0].y_old.size))
         # group the times by step (np.unique would import numpy.ma)
         order = np.argsort(segments, kind="stable")
-        for rows in np.split(order, np.flatnonzero(np.diff(segments[order])) + 1):
+        groups = np.split(order, np.flatnonzero(np.diff(segments[order])) + 1) if ts.size else ()
+        for rows in groups:
             out[rows] = self.steps[segments[rows[0]]].at(ts[rows])
         return out
 
@@ -908,39 +914,30 @@ class Trajectory:
 
     def ambient_at(self, t: float) -> EmbeddingPhase:
         """Evaluate the dense solution at any time inside the span."""
-        return _phase_from_y8(_project_constraint(self._y8_at(t), self.params.radius, t))
+        return _phase_from_y8(_project_constraint(self._y8([t])[0], self.params.radius, t))
 
     def ambient_points(self, ts) -> np.ndarray:
         """The ambient points at the times ``ts``, as a (4, ts.size) array.
 
-        Column k equals ambient_at(ts[k]).z bit for bit: ambient-form runs
-        evaluate the dense solution one step at a time and scale the points
-        onto the shell in one array operation.
+        Column k equals ambient_at(ts[k]).z bit for bit: the points are
+        scaled onto the shell in one array operation.
         """
         ts = np.asarray(ts, dtype=float)
-        if self.chart is None:
-            self._check_span(ts.min())
-            self._check_span(ts.max())
-            z = self.sol.at(ts)[:, :4].T
-        else:
-            z = np.array([self._y8_at(float(t))[:4] for t in ts]).T
+        z = self._y8(ts)[:, :4].T
         quad = z[0] * z[0] + z[1] * z[1] - z[2] * z[2] - z[3] * z[3]
         on_shell = (quad > 0.0) & (quad < math.inf)
         if not on_shell.all():
             self.ambient_at(float(ts[np.argmin(on_shell)]))  # raises as it does alone
         return z * (self.params.radius / np.sqrt(quad))
 
-    def _check_span(self, t: float):
-        if not (self.sol.t_min - 1e-12 <= t <= self.sol.t_max + 1e-12):
-            raise ValueError(f"t = {t} outside the integrated span")
-
-    def _y8_at(self, t: float) -> np.ndarray:
-        self._check_span(t)
-        y = np.asarray(self.sol(t), dtype=float)
-        if self.chart is None:
-            return y
-        q = (y[0], y[1], y[2] % TWO_PI, y[3], y[4], y[5])
-        return np.array(lift_coords(self.chart, q, self.params.radius))
+    def _y8(self, ts) -> np.ndarray:
+        """The (ts.size, 8) ambient rows of the dense solution, before projection."""
+        ts = np.asarray(ts, dtype=float)
+        for t in (ts.min(), ts.max()) if ts.size else ():
+            if not (self.sol.t_min - 1e-12 <= t <= self.sol.t_max + 1e-12):
+                raise ValueError(f"t = {t} outside the integrated span")
+        y = self.sol.at(ts)
+        return y if self.chart is None else _lift_chart_rows(self.chart, y, self.params.radius)
 
     # ---- export ----
 
@@ -1035,11 +1032,10 @@ def integrate(
             return yy[3]
 
         sol = _solve("chart", rhs, (t0, t1), start, [ev_turn] if track_turns else [])
-        for t_ev in sol.t_events[0] if track_turns else ():
-            if t_ev <= t0 + 1e-12:
-                continue
+        roots = sol.t_events[0][sol.t_events[0] > t0] if track_turns else np.empty(0)
+        for t_ev, yev in zip(roots, sol.sol.at(roots)):
             # shape minimum iff d(shape)/dt turns up: sign carried by pdot1
-            events.append(_turning_point(t_ev, rhs(float(t_ev), sol.sol(float(t_ev)))[3] > 0.0))
+            events.append(_turning_point(t_ev, rhs(float(t_ev), yev)[3] > 0.0))
     else:
         chart = None
         rhs = _ambient_rhs(params, mode)
@@ -1060,15 +1056,12 @@ def integrate(
             project=lambda y8: _project_constraint(y8, R), dt_proj=dt_proj,
             check=lambda t, y8: _check_drift(t, y8, R)
         )
-        for t_ev in sol.t_events[0]:
-            yev = sol.sol(float(t_ev))
+        for t_ev, yev in zip(sol.t_events[0], sol.sol.at(sol.t_events[0])):
             side = "outer->inner" if yev[0] * yev[4] > 0.0 else "inner->outer"
             # zdot0 = -p0: z0^2 decreasing when z0*p0 > 0
             events.append(Event(float(t_ev), EventKind.CHART_CROSSING, side))
-        for t_ev in sol.t_events[1] if track_turns else ():
-            if t_ev <= t0 + 1e-12:
-                continue
-            yev = sol.sol(float(t_ev))
+        roots = sol.t_events[1][sol.t_events[1] > t0] if track_turns else np.empty(0)
+        for t_ev, yev in zip(roots, sol.sol.at(roots)):
             if abs(yev[0]) <= 1e-9 * R:
                 continue  # z0 = 0 root of z0*p0, not a radial turning
             # sdotdot = -2 z0 pdot0 / R^2 at p0 = 0
@@ -1076,21 +1069,22 @@ def integrate(
 
     # ---- sample table -----------------------------------------------------
     # per sample: t, the chart state and the ambient state, in COLUMNS order
-    rows, charts = [], []
-    for t_i, yvec in zip(sol.t, sol.y.T):
-        if chart is not None:
-            q = (yvec[0], yvec[1], yvec[2] % TWO_PI, yvec[3], yvec[4], yvec[5])
-            y8 = np.array(lift_coords(chart, q, R))
-            _check_drift(t_i, y8, R)
-            charts.append(chart)
-        else:  # the stepper's check hook has seen every ambient sample
+    if chart is not None:
+        q = sol.y.T.copy()
+        y8 = _lift_chart_rows(chart, q, R)
+        for t_i, row in zip(sol.t, y8):
+            _check_drift(t_i, row, R)
+        charts = [chart] * sol.t.size
+        head = np.vstack([sol.t, q.T, y8.T])
+    else:  # the stepper's check hook has seen every ambient sample
+        rows, charts = [], []
+        for t_i, yvec in zip(sol.t, sol.y.T):
             y8 = _project_constraint(yvec, R, t_i)
             ph = _phase_from_y8(y8)
             charts.append(chart_select(ph.z, params))
             st = momentum_project(ph, charts[-1], params)
-            q = (st.point.q1, st.point.q2, st.point.phi, st.p1, st.p2, st.pphi)
-        rows.append((t_i, *q, *y8))
-    head = np.array(rows).T
+            rows.append((t_i, st.point.q1, st.point.q2, st.point.phi, st.p1, st.p2, st.pphi, *y8))
+        head = np.array(rows).T
     y8 = head[_ROW["z0"]:]
     # products such as N_i N_k in D may overflow at huge R; such a table is refused
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1110,14 +1104,15 @@ def integrate(
     if t_est is not None:
         x0 = _project_constraint(y80, R, t0)
         xi = central_inversion(x0)
-        k = 1
-        while t0 + k * t_est <= t1 + 1e-9:
-            tk = min(t0 + k * t_est, t1)
-            yk = _project_constraint(traj._y8_at(tk), R, tk)
+        # k = 1, 2, ... while k T ends in the span, up to a rounding slack in T
+        tks = []
+        while t0 + (len(tks) + 1) * t_est <= t1 + 1e-9 * t_est:
+            tks.append(min(t0 + (len(tks) + 1) * t_est, t1))
+        for k, (tk, yk) in enumerate(zip(tks, traj._y8(tks)), start=1):
+            yk = _project_constraint(yk, R, tk)
             dist = min(phase_distance(yk, x0, R), phase_distance(yk, xi, R))
             if dist < CLOSURE_TOL:
                 events.append(Event(float(tk), EventKind.PERIOD_CLOSURE, f"k={k}"))
-            k += 1
     return replace(traj, events=tuple(sorted(events, key=lambda e: e.t)))
 
 

@@ -256,6 +256,42 @@ def test_case_a_matches_radial_closed_form(case_a, params):
         assert abs(s_num - float(sol(t))) < 1e-6
 
 
+def _case_a_scaled(omega, periods):
+    """Case A at (omega, R = 1), E = 0.4 omega^2 and L^2 = omega^2 / 4, over
+    a whole number of periods; the run and its exact period."""
+    params = ModelParams(omega, 1.0)
+    period = math.pi / (omega * math.sqrt(0.2))
+    state = canonical_state(0.4 * omega**2, 0.25 * omega**2, params)
+    return integrate(state, params, IntegrationConfig(t_span=(0.0, periods * period))), period
+
+
+def _of_kind(traj, kind):
+    return [e for e in traj.events if e.kind == kind]
+
+
+def test_closure_slack_scales_with_the_period():
+    # over exactly 2T, k = 3 lies a whole period past the span at every omega
+    runs = [_case_a_scaled(omega, 2.0) for omega in (1.0, 1e10, 1e11)]
+    details = [[e.detail for e in _of_kind(traj, EventKind.PERIOD_CLOSURE)] for traj, _ in runs]
+    assert details[0] == details[1] == ["k=1", "k=2"]
+    for traj, period in runs:
+        closures = _of_kind(traj, EventKind.PERIOD_CLOSURE)
+        assert all(int(e.detail[2:]) * period <= traj.times[-1] * (1 + 1e-6) for e in closures)
+        assert len({e.t for e in closures}) == len(closures)
+
+
+def test_turning_points_near_the_start_at_extreme_omega():
+    # at omega = 1e13 a period is 7e-13: an absolute slack of 1e-12 at t0
+    # would drop the apocenter at T/2 and the pericenter at T
+    unit, _ = _case_a_scaled(1.0, 3.25)
+    fast, period = _case_a_scaled(1e13, 3.25)
+    turns = [e.detail for e in _of_kind(unit, EventKind.RADIAL_TURNING_POINT)]
+    assert turns == ["apocenter", "pericenter"] * 3
+    fast_turns = _of_kind(fast, EventKind.RADIAL_TURNING_POINT)
+    assert [e.detail for e in fast_turns] == turns
+    npt.assert_allclose(fast_turns[0].t, period / 2.0, rtol=1e-3)
+
+
 def test_measured_period_against_formula(case_a):
     traj, period = case_a["traj"], case_a["period"]
     measured = measure_period(traj)
@@ -342,7 +378,7 @@ def test_chart_and_ambient_methods_agree(params):
                             dt_proj=1.0)
     assert ref.status == 0 and ref.t_proj
     za = traj.ambient_at(10.0)
-    zb = dyn._project_constraint(ref.sol(10.0), params.radius)
+    zb = dyn._project_constraint(ref.sol.at([10.0])[0], params.radius)
     npt.assert_allclose([za.z.z0, za.z.z1, za.z.z2, za.z.z3], zb[:4], atol=1e-7)
     npt.assert_allclose([za.p0, za.p1, za.p2, za.p3], zb[4:], atol=1e-7)
 
@@ -606,8 +642,11 @@ def test_ambient_points_match_ambient_at_bit_for_bit(case_a, params, which):
     want = np.array([traj.ambient_at(float(t)).z.array for t in ts]).T
     assert got.shape == (4, ts.size)
     npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    assert traj.ambient_points([]).shape == (4, 0)
     with pytest.raises(ValueError, match="outside the integrated span"):
         traj.ambient_points([t0, t1 + 1e-6])
+    with pytest.raises(ValueError, match="outside the integrated span"):
+        traj.ambient_at(t1 + 1e-6)
 
 
 INVARIANT_COLUMNS = ("H", "N1", "N2", "N3", "L1", "L2", "L3", "Lsq", "C1", "C2",

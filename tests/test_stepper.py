@@ -6,6 +6,7 @@ integrated once through it and once through the port; samples, events and
 dense evaluations must agree to the last bit.
 """
 
+import bisect
 import math
 import os
 import sys
@@ -32,6 +33,19 @@ def _orbit_specs():
     case_a = {"regime": "case A", "e": 0.4, "l_sq": 0.25, "omega": 1.0, "radius": 1.0,
               "span": 10.0 * math.pi / math.sqrt(0.2)}
     return [case_a] + workloads.orbit_specs(SEED)
+
+
+class _ScipySolution:
+    """scipy's OdeSolution behind DenseSolution's one reader, `at`, which it
+    answers one time at a time."""
+
+    def __init__(self, ts, interpolants, n):
+        self.ode, self.n = OdeSolution(ts, interpolants), n
+        self.t_min, self.t_max = self.ode.t_min, self.ode.t_max
+
+    def at(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        return np.reshape([self.ode(float(t)) for t in ts], (ts.size, self.n))
 
 
 def _scipy_stretch(fun, t_span, y0, events=(), *, rtol, atol, max_step=math.inf,
@@ -74,7 +88,7 @@ def _scipy_stretch(fun, t_span, y0, events=(), *, rtol, atol, max_step=math.inf,
             t_proj.append(t)
             t_last_proj = t
             g = [ev(t, solver.y) for ev in events]
-    return dyn.Stretch(np.array(ts), np.array(ys).T, OdeSolution(ts, interpolants),
+    return dyn.Stretch(np.array(ts), np.array(ys).T, _ScipySolution(ts, interpolants, y0.size),
                        [np.asarray(te) for te in t_events], solver.nfev, status,
                        message or "", tuple(t_proj))
 
@@ -153,7 +167,28 @@ def test_solve_stretch_matches_scipy_with_projection_and_events():
     assert [_bits(te) for te in mine.t_events] == [_bits(te) for te in ref.t_events]
     assert all(te.size >= 3 for te in mine.t_events)
     for t in np.linspace(0.0, 12.0, 97):
-        assert _bits(mine.sol(float(t))) == _bits(ref.sol(float(t)))
+        assert _bits(mine.sol.at([t])[0]) == _bits(ref.sol.at([t])[0])
+
+
+def test_dense_solution_rows_are_their_steps_interpolants():
+    # each row of DenseSolution.at is its step's own scalar evaluation: a
+    # time on a step boundary is read on the earlier step, and times before
+    # t_min or after t_max on the first or last step
+    def rhs(t, y):
+        return (y[1], -y[0])
+
+    sol = dyn.solve_stretch(rhs, (0.0, 6.0), np.array([1.0, 0.0]), rtol=1e-9, atol=1e-12).sol
+    bounds = np.array(sol.ts)
+    assert len(sol.steps) >= 4
+    mids = 0.5 * (bounds[:-1] + bounds[1:])
+    ts = np.concatenate([bounds, mids, [-0.5, 6.5, -0.5], bounds[2:4], mids[::-1]])
+    ts = np.random.default_rng(SEED).permutation(ts)
+    got = sol.at(ts)
+    assert got.shape == (ts.size, 2)
+    for t, row in zip(ts, got):
+        step = min(max(bisect.bisect_left(sol.ts, t) - 1, 0), len(sol.steps) - 1)
+        assert _bits(row) == _bits(sol.steps[step](t)), t
+    assert sol.at([]).shape == (0, 2)
 
 
 def test_solve_stretch_reports_too_small_step():
