@@ -41,8 +41,8 @@ A run's samples form one float table with a row per name in COLUMNS (time,
 chart state, ambient state, invariants) and a column per sample.  Chart
 samples (and chart-run dense rows) are lifted one at a time (lift_coords on
 floats, through math); ambient samples are projected onto the shell and
-mapped to their chart one at a time; the invariants are then evaluated once
-over the run's (8, n) ambient block.
+mapped to their charts in one array pass (project_coords, once per chart
+present); the invariants are then evaluated once over the (8, n) block.
 
 The time-T map of a bounded orbit is the central inversion
 (z0, zvec, p0, pvec) -> (z0, -zvec, p0, -pvec); a PeriodClosure event is
@@ -71,11 +71,12 @@ from .geometry import (
     chart_select,
     lift_coords,
     momentum_lift,
-    momentum_project,
+    project_coords,
 )
 from .files import atomic_write_text, write_table
 from .invariants import invariant_coords, l_squared
-# a single-state view kept reachable through this module (bench/tracer.py wraps it)
+# single-state views kept reachable through this module (bench/tracer.py wraps them)
+from .geometry import momentum_project  # noqa: F401
 from .invariants import evaluate_invariants  # noqa: F401
 
 
@@ -290,34 +291,29 @@ def _ambient_rhs(params: ModelParams, mode: Mode):
 
 
 def _project_constraint(y8: np.ndarray, radius: float, t=None) -> np.ndarray:
-    """Rescale z onto the shell and remove the normal momentum component.
+    """Rescale z onto the shell and remove the normal momentum component, in
+    one ambient row y8 or in each of (n, 8) rows.
 
-    Raises IntegrationError when z.z is not positive and finite, so that no
-    rescaling reaches the shell z.z = R^2; t, when given, is named.
+    Raises IntegrationError for the first row whose z.z is not positive and
+    finite, so that no rescaling reaches the shell z.z = R^2; its time t, when
+    given (one per row), is named.
     """
-    z = y8[:4].copy()
-    p = y8[4:].copy()
-    quad = z[0] * z[0] + z[1] * z[1] - z[2] * z[2] - z[3] * z[3]
-    if not 0.0 < quad < math.inf:
-        where = "" if t is None else f" at t={float(t)}"
+    z, p = y8[..., :4], y8[..., 4:]
+    zt = z.T  # zt[k] is z_k of one row (a float) or the column of (n, 8) rows
+    quad = zt[0] * zt[0] + zt[1] * zt[1] - zt[2] * zt[2] - zt[3] * zt[3]
+    bad = ~((0.0 < quad) & (quad < math.inf))
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = "" if t is None else f" at t={float(np.ravel(t)[k])}"
         raise IntegrationError(
-            f"cannot project onto the shell: z.z = {quad:.3e}, "
-            f"|z|/R = {float(np.linalg.norm(z)) / radius:.3e}{where}"
+            f"cannot project onto the shell: z.z = {np.ravel(quad)[k]:.3e}, "
+            f"|z|/R = {float(np.linalg.norm(np.reshape(z, (-1, 4))[k])) / radius:.3e}{where}"
         )
-    z *= radius / math.sqrt(quad)
-    gz = np.array([-z[0], -z[1], z[2], z[3]])
-    p += (float(z @ p) / radius**2) * gz
-    return np.concatenate([z, p])
-
-
-def _phase_from_y8(y8: np.ndarray) -> EmbeddingPhase:
-    return EmbeddingPhase(
-        EmbeddingPoint(y8[0], y8[1], y8[2], y8[3]), y8[4], y8[5], y8[6], y8[7]
-    )
-
-
-def _y8_from_phase(ph: EmbeddingPhase) -> np.ndarray:
-    return np.concatenate([ph.z.array, ph.momentum_array])
+    z = z * (radius / np.sqrt(quad))[..., None]
+    # a stacked matmul sums each z.p as the one-row z @ p does, bit for bit
+    zp = np.matmul(z[..., None, :], p[..., :, None])[..., 0, 0]
+    p = p + (zp / radius**2)[..., None] * (z * [-1.0, -1.0, 1.0, 1.0])
+    return np.concatenate([z, p], axis=-1)
 
 
 def _lift_chart_rows(chart: ChartId, y6: np.ndarray, radius: float) -> np.ndarray:
@@ -345,14 +341,16 @@ def phase_distance(a: np.ndarray, b: np.ndarray, radius: float) -> float:
 
 
 def _check_drift(t, y8: np.ndarray, radius: float):
-    """Raise IntegrationError when |z.z - R^2| exceeds CONSTRAINT_RTOL R^2."""
+    """Raise IntegrationError, naming the first such row's time, when |z.z - R^2|
+    exceeds CONSTRAINT_RTOL R^2 in one ambient row y8 or in any of (n, 8) rows."""
     R2 = radius * radius
-    quad = y8[0] ** 2 + y8[1] ** 2 - y8[2] ** 2 - y8[3] ** 2
-    drift = abs(quad - R2)
-    if drift > CONSTRAINT_RTOL * R2:
-        raise IntegrationError(
-            f"constraint drift {drift:.3e} beyond {CONSTRAINT_RTOL:.0e}*R^2 at t={float(t)}"
-        )
+    z = y8.T  # z[k] is z_k of one row (a float) or the column of (n, 8) rows
+    drift = abs(z[0] ** 2 + z[1] ** 2 - z[2] ** 2 - z[3] ** 2 - R2)
+    bad = drift > CONSTRAINT_RTOL * R2
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise IntegrationError(f"constraint drift {np.ravel(drift)[k]:.3e} beyond "
+                               f"{CONSTRAINT_RTOL:.0e}*R^2 at t={float(np.ravel(t)[k])}")
 
 
 # ---------------------------------------------------------------------------
@@ -914,30 +912,30 @@ class Trajectory:
 
     def ambient_at(self, t: float) -> EmbeddingPhase:
         """Evaluate the dense solution at any time inside the span."""
-        return _phase_from_y8(_project_constraint(self._y8([t])[0], self.params.radius, t))
+        z0, z1, z2, z3, p0, p1, p2, p3 = self._projected([t])[0]
+        return EmbeddingPhase(EmbeddingPoint(z0, z1, z2, z3), p0, p1, p2, p3)
 
     def ambient_points(self, ts) -> np.ndarray:
         """The ambient points at the times ``ts``, as a (4, ts.size) array.
 
-        Column k equals ambient_at(ts[k]).z bit for bit: the points are
-        scaled onto the shell in one array operation.
+        Column k equals ambient_at(ts[k]).z bit for bit: the rows are
+        projected onto the shell in one call.
         """
-        ts = np.asarray(ts, dtype=float)
-        z = self._y8(ts)[:, :4].T
-        quad = z[0] * z[0] + z[1] * z[1] - z[2] * z[2] - z[3] * z[3]
-        on_shell = (quad > 0.0) & (quad < math.inf)
-        if not on_shell.all():
-            self.ambient_at(float(ts[np.argmin(on_shell)]))  # raises as it does alone
-        return z * (self.params.radius / np.sqrt(quad))
+        return self._projected(ts)[:, :4].T
 
-    def _y8(self, ts) -> np.ndarray:
-        """The (ts.size, 8) ambient rows of the dense solution, before projection."""
+    def _projected(self, ts) -> np.ndarray:
+        """The (ts.size, 8) ambient rows of the dense solution at the times
+        ``ts``, projected onto the shell."""
         ts = np.asarray(ts, dtype=float)
+        # rounding in t0 + k T is relative to the span, whatever its scale
+        slack = 1e-12 * (self.sol.t_max - self.sol.t_min)
         for t in (ts.min(), ts.max()) if ts.size else ():
-            if not (self.sol.t_min - 1e-12 <= t <= self.sol.t_max + 1e-12):
+            if not (self.sol.t_min - slack <= t <= self.sol.t_max + slack):
                 raise ValueError(f"t = {t} outside the integrated span")
         y = self.sol.at(ts)
-        return y if self.chart is None else _lift_chart_rows(self.chart, y, self.params.radius)
+        if self.chart is not None:
+            y = _lift_chart_rows(self.chart, y, self.params.radius)
+        return _project_constraint(y, self.params.radius, ts)
 
     # ---- export ----
 
@@ -995,7 +993,8 @@ def integrate(
     t0, t1 = cfg.t_span
 
     try:
-        y80 = _y8_from_phase(momentum_lift(initial, params))
+        ph = momentum_lift(initial, params)
+        y80 = np.concatenate([ph.z.array, ph.momentum_array])
         if not np.all(np.isfinite(y80)):
             raise OverflowError
         h0val = hamiltonian(initial, params, mode)
@@ -1070,21 +1069,18 @@ def integrate(
     # ---- sample table -----------------------------------------------------
     # per sample: t, the chart state and the ambient state, in COLUMNS order
     if chart is not None:
-        q = sol.y.T.copy()
-        y8 = _lift_chart_rows(chart, q, R)
-        for t_i, row in zip(sol.t, y8):
-            _check_drift(t_i, row, R)
-        charts = [chart] * sol.t.size
-        head = np.vstack([sol.t, q.T, y8.T])
+        q = sol.y.copy()
+        y8 = _lift_chart_rows(chart, q.T, R)  # wraps q's phi row in place
+        _check_drift(sol.t, y8, R)
+        charts = (chart,) * sol.t.size
     else:  # the stepper's check hook has seen every ambient sample
-        rows, charts = [], []
-        for t_i, yvec in zip(sol.t, sol.y.T):
-            y8 = _project_constraint(yvec, R, t_i)
-            ph = _phase_from_y8(y8)
-            charts.append(chart_select(ph.z, params))
-            st = momentum_project(ph, charts[-1], params)
-            rows.append((t_i, st.point.q1, st.point.q2, st.point.phi, st.p1, st.p2, st.pphi, *y8))
-        head = np.array(rows).T
+        y8 = _project_constraint(sol.y.T, R, sol.t)
+        charts = chart_select(y8.T[:4], params)
+        q = np.empty((6, sol.t.size))
+        for c in set(charts):  # one kernel call per chart present
+            q[:, charts == c] = project_coords(c, y8[charts == c].T, R)
+        charts = tuple(charts)
+    head = np.vstack([sol.t, q, y8.T])
     y8 = head[_ROW["z0"]:]
     # products such as N_i N_k in D may overflow at huge R; such a table is refused
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1099,7 +1095,7 @@ def integrate(
     table.flags.writeable = False
 
     # ---- period-closure pass ---------------------------------------------
-    traj = Trajectory(table, tuple(charts), tuple(events), params, mode, sol.sol, chart)
+    traj = Trajectory(table, charts, tuple(events), params, mode, sol.sol, chart)
     t_est = measure_period(traj)
     if t_est is not None:
         x0 = _project_constraint(y80, R, t0)
@@ -1108,8 +1104,7 @@ def integrate(
         tks = []
         while t0 + (len(tks) + 1) * t_est <= t1 + 1e-9 * t_est:
             tks.append(min(t0 + (len(tks) + 1) * t_est, t1))
-        for k, (tk, yk) in enumerate(zip(tks, traj._y8(tks)), start=1):
-            yk = _project_constraint(yk, R, tk)
+        for k, (tk, yk) in enumerate(zip(tks, traj._projected(tks)), start=1):
             dist = min(phase_distance(yk, x0, R), phase_distance(yk, xi, R))
             if dist < CLOSURE_TOL:
                 events.append(Event(float(tk), EventKind.PERIOD_CLOSURE, f"k={k}"))

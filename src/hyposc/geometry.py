@@ -30,7 +30,7 @@ preserves kinetic energy and satisfies the tangency constraint
 the plain transpose, p_q = J^T p.
 
 The inner parametrization is two-to-one ((-mu, phi+pi) is the same point);
-`unembed` canonicalizes to mu >= 0 and absorbs the sign into phi.
+`project_coords` canonicalizes to mu >= 0 and absorbs the sign into phi.
 """
 
 import math
@@ -43,12 +43,12 @@ from .regimes import ChartId, ModelParams
 
 TWO_PI = 2.0 * math.pi
 
-# relative tolerance on |z.z - R^2| accepted by chart_select / unembed, and the
+# relative tolerance on |z.z - R^2| accepted by chart_select / project_coords, and the
 # drift beyond which the integrator aborts an ambient run (not the embed guarantee)
 CONSTRAINT_RTOL = 1e-8
 
 EPS = float(np.finfo(float).eps)
-# unembed takes q1 from the transverse components below sinh^2 / sin^2 q1 = this
+# project_coords takes q1 from the transverse components below sinh^2 / sin^2 q1 = this
 NEAR_POLE = 1e-4
 
 
@@ -150,80 +150,109 @@ def constraint_residual(z: EmbeddingPoint, params: ModelParams) -> float:
     return z.z0 * z.z0 + z.z1 * z.z1 - z.z2 * z.z2 - z.z3 * z.z3 - params.radius**2
 
 
-def _check_constraint(z: EmbeddingPoint, params: ModelParams):
-    R2 = params.radius**2
-    resid = constraint_residual(z, params)
-    if not (abs(resid) <= CONSTRAINT_RTOL * R2):
-        raise ValueError(f"point off the hyperboloid: |z.z - R^2| = {abs(resid):.3e}")
+def _shell_check(z0, z1, z2, z3, R):
+    """The `_raise_first` check of points off the hyperboloid: |z.z - R^2|
+    above CONSTRAINT_RTOL R^2, or not finite."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        resid = np.abs(z0 * z0 + z1 * z1 - z2 * z2 - z3 * z3 - R**2)
+    message = "point off the hyperboloid: |z.z - R^2| = {:.3e}"
+    return ~(resid <= CONSTRAINT_RTOL * R**2), message, resid
 
 
-def chart_select(z: EmbeddingPoint, params: ModelParams) -> ChartId:
-    """Canonical chart of an embedded point; ties at |z0| = R go outer."""
-    _check_constraint(z, params)
-    if abs(z.z0) >= params.radius:
-        return ChartId.OUTER_PLUS if z.z0 >= 0.0 else ChartId.OUTER_MINUS
-    return ChartId.INNER_PLUS if z.z0 >= 0.0 else ChartId.INNER_MINUS
+def _raise_first(*checks):
+    """Raise ValueError for the first row that fails one of the (mask, message,
+    values) checks, with the message of its first failing check in the order
+    given (a single state's order) formatted with that row's value."""
+    bad = np.logical_or.reduce([mask for mask, _, _ in checks])
+    if bad.any():
+        k = int(np.argmax(bad))
+        message, values = next((m, v) for mask, m, v in checks if mask[k])
+        raise ValueError(message.format(float(values[k])))
 
 
-def unembed(z: EmbeddingPoint, chart: ChartId, params: ModelParams) -> ChartPoint:
-    """Ambient coordinates -> chart coordinates (inverse of embed).
+_CHARTS = np.array(list(ChartId), dtype=object)  # outer +, outer -, inner +, inner -
 
-    At the coordinate pole (z = (+-R, 0, 0, 0)) the angular coordinates are
-    set to zero by convention.  Raises for points incompatible with the
-    requested chart or on the degenerate cone away from the pole.
+
+def chart_select(z, params: ModelParams):
+    """Canonical chart of an EmbeddingPoint, or an (N,) object array of the
+    charts of the columns of a (4, N) array; ties at |z0| = R go outer.
+    Raises ValueError for the first point off the hyperboloid."""
+    zs = np.asarray(z.array if isinstance(z, EmbeddingPoint) else z, dtype=float)
+    z0, z1, z2, z3 = zs.reshape(4, -1)
+    _raise_first(_shell_check(z0, z1, z2, z3, params.radius))
+    charts = _CHARTS[2 * (np.abs(z0) < params.radius) + (z0 < 0.0)]
+    return charts if zs.ndim > 1 else charts[0]
+
+
+def project_coords(chart: ChartId, y8, radius: float) -> tuple:
+    """Ambient (z0, z1, z2, z3, p0, p1, p2, p3) -> chart phase coordinates
+    (q1, q2, phi, p1, p2, pphi) on ``chart``: the inverse of `lift_coords`.
+
+    Each component is a float or an (N,) array, one entry per state, and so
+    is each result.  At the pole z = (+-R, 0, 0, 0) the angles are zero by
+    convention; inner points take mu >= 0; phi lies in [0, 2 pi); the momenta
+    are p_q = J^T p.  Raises ValueError, with the message of the first bad
+    row alone, for a point off the hyperboloid, on the other sheet or chart
+    family, on the cone away from the pole, or inner with z1 = 0 there.
     """
-    _check_constraint(z, params)
-    R = params.radius
-    s = chart.sheet_sign
-    if s * z.z0 < 0.0:
-        raise ValueError(f"sheet mismatch: z0 = {z.z0} on chart {chart.value}")
-    c = abs(z.z0) / R
-    slack = CONSTRAINT_RTOL
+    y = np.asarray(y8, dtype=float)
+    z0, z1, z2, z3, p0, p1, p2, p3 = y.reshape(8, -1)
+    R, s, outer = radius, chart.sheet_sign, chart.is_outer
+    c = np.abs(z0) / R
     # near the pole acos/acosh of c lose the radial coordinate to rounding
     # (c - 1 ~ q1^2/2, so ~eps/q1^2 relative error); on the shell the
     # transverse part keeps it: sinh^2 r = (rho^2 - z1^2)/R^2 and
     # sin^2 chi = (z1^2 - rho^2)/R^2.  It is used within q1 ~ 1e-2 of the
     # pole while it stands above its own cancellation error (on the cone
     # z1^2 = rho^2 it does not, and the point still raises)
-    rho2, z1sq = z.z2 * z.z2 + z.z3 * z.z3, z.z1 * z.z1
+    rho2, z1sq = z2 * z2 + z3 * z3, z1 * z1
     floor = 4.0 * EPS * (rho2 + z1sq) / (R * R)
-    if chart.is_outer:
-        if c < 1.0 - slack:
-            raise ValueError(f"|z0| < R: point not on outer chart ({c=})")
-        sh2 = (rho2 - z1sq) / (R * R)
-        if floor < sh2 < NEAR_POLE:
-            sh = math.sqrt(sh2)
-            r = math.asinh(sh)
+    with np.errstate(invalid="ignore"):  # a non-finite row gives nan here and raises below
+        b2 = (rho2 - z1sq if outer else z1sq - rho2) / (R * R)
+        near = (floor < b2) & (b2 < NEAR_POLE)
+        root = np.sqrt(np.where(near, b2, 0.0))
+        if outer:
+            family = c < 1.0 - CONSTRAINT_RTOL, "|z0| < R: point not on outer chart (c={!r})"
+            q1 = np.where(near, np.arcsinh(root), np.arccosh(np.maximum(c, 1.0)))
+            b = np.where(near, root, np.sinh(q1))  # sinh r
+            pole = b == 0.0
+            q2 = np.arcsinh(z1 / (R * np.where(pole, 1.0, b)))
+            phi = np.arctan2(z3, z2)
         else:
-            r = math.acosh(max(c, 1.0))
-            sh = math.sinh(r)
-        if sh == 0.0:
-            if max(abs(z.z1), abs(z.z2), abs(z.z3)) > 1e-12 * R:
-                raise ValueError("point on the degenerate cone |z0| = R")
-            return ChartPoint(chart, 0.0, 0.0, 0.0)
-        tau = math.asinh(z.z1 / (R * sh))
-        phi = math.atan2(z.z3, z.z2)
-        return ChartPoint(chart, r, tau, phi)
-    if c > 1.0 + slack:
-        raise ValueError(f"|z0| > R: point not on inner chart ({c=})")
-    sn2 = (z1sq - rho2) / (R * R)
-    a = math.asin(math.sqrt(sn2)) if floor < sn2 < NEAR_POLE else math.acos(min(c, 1.0))
-    if a == 0.0:
-        if max(abs(z.z1), abs(z.z2), abs(z.z3)) > 1e-12 * R:
-            raise ValueError("point on the degenerate cone |z0| = R")
-        return ChartPoint(chart, 0.0, 0.0, 0.0)
-    if z.z1 == 0.0:
-        raise ValueError("degenerate inner point: sin(chi) != 0 requires z1 != 0")
-    chi = a if z.z1 > 0.0 else -a
-    sn = math.sin(chi)
-    w = math.hypot(z.z2, z.z3) / (R * abs(sn))
-    mu = math.asinh(w)  # canonical mu >= 0
-    if w == 0.0:
-        phi = 0.0
-    else:
-        sgn = 1.0 if sn > 0.0 else -1.0
-        phi = math.atan2(sgn * z.z3, sgn * z.z2)
-    return ChartPoint(chart, chi, mu, phi)
+            family = c > 1.0 + CONSTRAINT_RTOL, "|z0| > R: point not on inner chart (c={!r})"
+            a = np.where(near, np.arcsin(root), np.arccos(np.minimum(c, 1.0)))
+            q1 = np.where(z1 > 0.0, a, -a)
+            b = np.sin(q1)  # sin chi
+            pole = b == 0.0
+            w = np.hypot(z2, z3) / (R * np.abs(np.where(pole, 1.0, b)))
+            q2 = np.arcsinh(w)  # canonical mu >= 0
+            phi = np.where(w == 0.0, 0.0, np.arctan2(np.sign(b) * z3, np.sign(b) * z2))
+    cone = pole & (np.maximum(np.abs(z1), np.maximum(np.abs(z2), np.abs(z3))) > 1e-12 * R)
+    _raise_first(
+        _shell_check(z0, z1, z2, z3, R),
+        (s * z0 < 0.0, f"sheet mismatch: z0 = {{}} on chart {chart.value}", z0),
+        (*family, c),
+        (cone, "point on the degenerate cone |z0| = R", c),
+        (~pole & (z1 == 0.0) & (not outer),
+         "degenerate inner point: sin(chi) != 0 requires z1 != 0", c),
+    )
+    q1, q2, phi = (np.where(pole, 0.0, v) for v in (q1, q2, np.remainder(phi, TWO_PI)))
+
+    a, b, c, d, cp, sp = _trig(outer, q1, q2, phi)
+    u, v = (d, c) if outer else (c, d)  # z1 = R b u, transverse radius R b v (see _embed)
+    pt = cp * p2 + sp * p3  # momentum along the transverse radius
+    out = (q1, q2, phi,
+           R * ((s * b if outer else -s * b) * p0 + a * (u * p1 + v * pt)),
+           R * b * (v * p1 + u * pt),
+           R * b * v * (cp * p3 - sp * p2))
+    return out if y.ndim > 1 else tuple(float(x[0]) for x in out)
+
+
+def unembed(z: EmbeddingPoint, chart: ChartId, params: ModelParams) -> ChartPoint:
+    """Ambient coordinates -> chart coordinates: the single-point view of
+    `project_coords`, which states its conventions and the points it raises for."""
+    q = project_coords(chart, (*z.array, 0.0, 0.0, 0.0, 0.0), params.radius)
+    return ChartPoint(chart, *q[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -290,39 +319,11 @@ def momentum_lift(state: PhaseState, params: ModelParams) -> EmbeddingPhase:
     return EmbeddingPhase(EmbeddingPoint(z0, z1, z2, z3), p0, p1, p2, p3)
 
 
-def chart_jacobian(point: ChartPoint, params: ModelParams) -> np.ndarray:
-    """4x3 Jacobian dz^mu / dq^i at a chart point."""
-    R = params.radius
-    s = point.chart.sheet_sign
-    cp, sp = math.cos(point.phi), math.sin(point.phi)
-    if point.chart.is_outer:
-        sh, ch = math.sinh(point.q1), math.cosh(point.q1)
-        sht, cht = math.sinh(point.q2), math.cosh(point.q2)
-        return np.array(
-            [
-                [s * R * sh, 0.0, 0.0],
-                [R * ch * sht, R * sh * cht, 0.0],
-                [R * ch * cht * cp, R * sh * sht * cp, -R * sh * cht * sp],
-                [R * ch * cht * sp, R * sh * sht * sp, R * sh * cht * cp],
-            ]
-        )
-    sn, cn = math.sin(point.q1), math.cos(point.q1)
-    shm, chm = math.sinh(point.q2), math.cosh(point.q2)
-    return np.array(
-        [
-            [-s * R * sn, 0.0, 0.0],
-            [R * cn * chm, R * sn * shm, 0.0],
-            [R * cn * shm * cp, R * sn * chm * cp, -R * sn * shm * sp],
-            [R * cn * shm * sp, R * sn * chm * sp, R * sn * shm * cp],
-        ]
-    )
-
-
 def momentum_project(
     ph: EmbeddingPhase, chart: ChartId, params: ModelParams
 ) -> PhaseState:
-    """Ambient covariant momenta -> chart momenta via p_q = J^T p."""
-    point = unembed(ph.z, chart, params)
-    p_chart = chart_jacobian(point, params).T @ ph.momentum_array
-    return PhaseState(point, p_chart[0], p_chart[1], p_chart[2])
-
+    """Ambient covariant momenta -> chart momenta via p_q = J^T p: the
+    single-state view of `project_coords`."""
+    q1, q2, phi, p1, p2, pphi = project_coords(
+        chart, (*ph.z.array, *ph.momentum_array), params.radius)
+    return PhaseState(ChartPoint(chart, q1, q2, phi), p1, p2, pphi)

@@ -24,6 +24,7 @@ from hyposc.geometry import (
     ModelParams,
     PhaseState,
     chart_select,
+    lift_coords,
     momentum_lift,
     momentum_project,
 )
@@ -292,6 +293,16 @@ def test_turning_points_near_the_start_at_extreme_omega():
     npt.assert_allclose(fast_turns[0].t, period / 2.0, rtol=1e-3)
 
 
+def test_span_slack_scales_with_the_span():
+    # at omega = 1e13 the span is two periods, 1.4e-12: an absolute slack of
+    # 1e-12 would let t1 + 0.9e-12 extrapolate 1.3 periods past the end
+    traj, _ = _case_a_scaled(1e13, 2.0)
+    t1 = float(traj.times[-1])
+    with pytest.raises(ValueError, match="outside the integrated span"):
+        traj.ambient_at(t1 + 0.9e-12)
+    assert traj.ambient_points([traj.times[0], t1]).shape == (4, 2)
+
+
 def test_measured_period_against_formula(case_a):
     traj, period = case_a["traj"], case_a["period"]
     measured = measure_period(traj)
@@ -371,7 +382,8 @@ def test_chart_and_ambient_methods_agree(params):
     cfg = IntegrationConfig(t_span=(0.0, 10.0))
     traj = integrate(st, params, cfg)
     assert traj.chart is ChartId.OUTER_PLUS
-    y80 = dyn._y8_from_phase(momentum_lift(st, params))
+    ph = momentum_lift(st, params)
+    y80 = np.concatenate([ph.z.array, ph.momentum_array])
     ref = dyn.solve_stretch(dyn._ambient_rhs(params, Mode.OSCILLATOR), cfg.t_span, y80,
                             rtol=dyn.REL_TOL, atol=dyn.ABS_TOL,
                             project=lambda y: dyn._project_constraint(y, params.radius),
@@ -647,6 +659,33 @@ def test_ambient_points_match_ambient_at_bit_for_bit(case_a, params, which):
         traj.ambient_points([t0, t1 + 1e-6])
     with pytest.raises(ValueError, match="outside the integrated span"):
         traj.ambient_at(t1 + 1e-6)
+
+
+@pytest.mark.parametrize("run", ["zero_l2_pole", "neg_l2_cone", "inner_minus"])
+def test_ambient_samples_lift_back_to_their_ambient_columns(run, params, neg_l2_traj):
+    """The chart columns of every ambient sample, lifted through lift_coords on
+    the sample's chart, give its z and pz columns back."""
+    if run == "zero_l2_pole":  # a sample lands within 1e-11 of the pole
+        orbit = classify(0.25, 0.0, params)
+        assert orbit.regime.name == "ZERO_L2_BOUNDED"
+        st = canonical_state(0.25, 0.0, params)
+        traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 1.5 * orbit.period)))
+        assert np.min(traj.column("q1")) < 1e-10
+    elif run == "neg_l2_cone":
+        traj = neg_l2_traj["traj"]
+        assert _of_kind(traj, EventKind.CHART_CROSSING)
+    else:  # the reach gate's inner_minus start
+        st = PhaseState(ChartPoint(ChartId.INNER_MINUS, 0.5, 0.7, 0.0), 0.0, 0.1, 0.3)
+        traj = integrate(st, params, IntegrationConfig(t_span=(0.0, 4.0)))
+    assert traj.chart is None
+    q = np.array([traj.column(n) for n in ("q1", "q2", "phi", "p1", "p2", "pphi")])
+    y8 = traj.table[dyn._ROW["z0"]:dyn._ROW["pz3"] + 1]
+    charts = np.array(traj.charts, dtype=object)
+    back = np.full_like(y8, np.nan)
+    for chart in set(traj.charts):
+        back[:, charts == chart] = lift_coords(chart, q[:, charts == chart], params.radius)
+    scale = np.maximum(1.0, np.max(np.abs(y8), axis=0))  # per sample
+    assert np.all(np.abs(back - y8) <= 1e-12 * scale)
 
 
 INVARIANT_COLUMNS = ("H", "N1", "N2", "N3", "L1", "L2", "L3", "Lsq", "C1", "C2",

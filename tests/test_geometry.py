@@ -10,7 +10,6 @@ from hyposc.geometry import (
     EmbeddingPoint,
     ModelParams,
     PhaseState,
-    chart_jacobian,
     chart_select,
     constraint_residual,
     embed,
@@ -232,19 +231,6 @@ def test_momentum_project_round_trip(params):
         npt.assert_allclose(
             [back.p1, back.p2, back.pphi], [st.p1, st.p2, st.pphi], rtol=1e-9, atol=1e-9
         )
-
-
-def test_chart_jacobian_matches_fd(params):
-    pt = ChartPoint(ChartId.OUTER_PLUS, 0.9, -0.6, 1.7)
-    jac = chart_jacobian(pt, params)
-    h = 1e-6
-    for i, name in enumerate(("q1", "q2", "phi")):
-        hi = {"q1": 0.0, "q2": 0.0, "phi": 0.0}
-        hi[name] = h
-        zp = embed(ChartPoint(pt.chart, pt.q1 + hi["q1"], pt.q2 + hi["q2"], pt.phi + hi["phi"]), params)
-        zm = embed(ChartPoint(pt.chart, pt.q1 - hi["q1"], pt.q2 - hi["q2"], pt.phi - hi["phi"]), params)
-        fd = (zp.array - zm.array) / (2 * h)
-        npt.assert_allclose(jac[:, i], fd, rtol=1e-8, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

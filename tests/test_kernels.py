@@ -6,8 +6,10 @@ must equal what the dataclass API computes for that state alone.
 """
 
 import math
+import warnings
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from hyposc.geometry import (
     EPS,
     ChartId,
     ChartPoint,
+    EmbeddingPoint,
     ModelParams,
     PhaseState,
     chart_select,
@@ -23,6 +26,7 @@ from hyposc.geometry import (
     lift_coords,
     momentum_lift,
     momentum_project,
+    project_coords,
     unembed,
 )
 from hyposc.invariants import (
@@ -128,6 +132,62 @@ def test_batch_raises_where_a_single_state_raises(chart, pole, momenta):
     # the same row without angular momenta lifts, and equals the single state
     rows[1] = pole + (momenta[0], 0.0, 0.0)
     _check_batch(chart, rows, params)
+
+
+def _near_pole(rows):
+    """Each row as drawn, or with q1 scaled to within 1e-6 of the pole."""
+    scaled = st.tuples(rows, st.booleans())
+    return scaled.map(lambda rb: (rb[0][0] * (4e-7 if rb[1] else 1.0),) + rb[0][1:])
+
+
+ALL_CHARTS = st.one_of(batches(OUTER_CHARTS, _near_pole(OUTER_ROW)),
+                       batches(INNER_CHARTS, _near_pole(INNER_ROW)))
+
+
+@SETTINGS
+@given(ALL_CHARTS, PARAMS)
+def test_project_coords_inverts_lift_coords(batch, params):
+    chart, rows = batch
+    coords = np.array(rows).T
+    y = np.array(lift_coords(chart, coords, params.radius))
+    back = np.array(project_coords(chart, y, params.radius))
+    npt.assert_allclose(back[:2], coords[:2], rtol=1e-12, atol=1e-14)
+    dphi = np.remainder(back[2] - coords[2] + math.pi, 2.0 * math.pi) - math.pi
+    npt.assert_allclose(dphi, 0.0, atol=1e-14)
+    # p_q = J^T p sums ambient terms ~ R |p|, which near the pole cancel to O(1)
+    scale = np.maximum(1.0, params.radius * np.max(np.abs(y[4:]), axis=0))
+    assert np.all(np.abs(back[3:] - coords[3:]) <= 1e-12 * scale)
+
+
+# off the shell; on the cone away from the pole; on the other sheet; inner
+# with z1 = 0 away from the pole (|z0| just below R, inside the shell slack)
+BAD_POINTS = [
+    (ChartId.OUTER_PLUS, (2.0, 0.0, 0.0, 0.0), "off the hyperboloid"),
+    (ChartId.OUTER_MINUS, (-1.0, 0.3, 0.3, 0.0), "degenerate cone"),
+    (ChartId.OUTER_PLUS, (-2.0, 0.0, math.sqrt(3.0), 0.0), "sheet mismatch"),
+    (ChartId.INNER_MINUS, (-(1.0 - 1e-9), 0.0, 0.0, 0.0), "degenerate inner point"),
+]
+
+
+@pytest.mark.parametrize("chart, bad, reason", BAD_POINTS)
+def test_projection_batch_raises_where_a_single_state_raises(chart, bad, reason):
+    params = ModelParams(1.0, 1.0)
+    good = np.array(lift_coords(chart, np.array([(0.7, 0.2, 0.4, 0.1, -0.3, 0.8),
+                                                 (0.3, 0.5, 2.0, 1.0, 0.2, -0.6)]).T, 1.0))
+    row = np.array(bad + (0.0, 0.0, 0.0, 0.0))
+    single = _message(lambda: project_coords(chart, row, 1.0))
+    assert reason in single
+    assert _message(lambda: unembed(EmbeddingPoint(*bad), chart, params)) == single
+    # a later bad row (non-finite) does not change the message; the chart's
+    # pole is a good row
+    pole = np.array([chart.sheet_sign, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    later = np.array([math.inf] * 4 + [0.0] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # masked branches do not warn
+        batch = np.column_stack([good[:, 0], pole, row, good[:, 1], later])
+        assert _message(lambda: project_coords(chart, batch, 1.0)) == single
+        back = project_coords(chart, np.column_stack([good[:, 0], pole, good[:, 1]]), 1.0)
+    assert all(q[1] == 0.0 for q in back)
 
 
 # ---------------------------------------------------------------------------
